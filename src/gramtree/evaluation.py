@@ -17,7 +17,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import LanguageTooLargeError
+from .errors import LanguageTooLargeError, RecursiveGrammarError
 from .grammar import DEFAULT_CAP, Grammar, NonTerminal, check_nonrecursive, enumerate_language, rule_count
 from .induction import DEFAULT_RATIO, induce_grammar
 
@@ -105,10 +105,14 @@ def _compare_against(induced: Grammar, reference_set: frozenset[str], cap: int) 
 
 
 def reference_depth(grammar: Grammar) -> int:
-    """Longest rule reference chain from the start symbol (start counts 1)."""
+    """Longest rule reference chain from the start symbol (start counts 1).
+
+    Raises:
+        RecursiveGrammarError: the grammar has a reference cycle.
+    """
     check = check_nonrecursive(grammar)
     if not check.ok:
-        raise LanguageTooLargeError("cannot compute the depth of a recursive grammar")
+        raise RecursiveGrammarError(check.cycle)
     depth: dict[str, int] = {}
     for name in check.order:
         referenced = [

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import GrammarFormatError, RecursiveGrammarError, UnsupportedGrammarError
 from .template import normalize_sentence
@@ -110,14 +110,6 @@ def parse_tracery(json_text: str) -> Grammar:
                 )
             productions.append(_parse_body(name, alternative))
         rules[name] = tuple(productions)
-
-    for name, productions in rules.items():
-        for production in productions:
-            for symbol in production:
-                if isinstance(symbol, NonTerminal) and symbol.name not in rules:
-                    raise GrammarFormatError(
-                        f"rule {name!r} references undefined rule {symbol.name!r}"
-                    )
     return Grammar("origin", rules)
 
 
@@ -149,18 +141,53 @@ def to_tracery(grammar: Grammar) -> str:
     The start rule is emitted as ``origin`` first, the rest in sorted
     order; single-alternative rules are written as plain strings.
     """
-    def body(production: Production) -> str:
-        return " ".join(
-            s.text if isinstance(s, Terminal) else f"#{s.name}#" for s in production
-        )
-
     ordered = [grammar.start] + sorted(n for n in grammar.rules if n != grammar.start)
     payload: dict[str, object] = {}
     for name in ordered:
         key = "origin" if name == grammar.start else name
-        bodies = [body(p) for p in grammar.rules[name]]
+        bodies = [production_text(p) for p in grammar.rules[name]]
         payload[key] = bodies[0] if len(bodies) == 1 else bodies
     return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+def production_text(production: Production) -> str:
+    """A production as a Tracery rule body (``#name#`` for non-terminals)."""
+    return " ".join(s.text if isinstance(s, Terminal) else f"#{s.name}#" for s in production)
+
+
+def reference_order(
+    graph: Mapping[Hashable, Iterable[Hashable]],
+) -> tuple[tuple | None, tuple | None]:
+    """Depth-first post-order of a reference graph, or its first cycle.
+
+    Nodes are visited in key order and their edges in listed order; edges
+    to nodes outside the graph are ignored. Returns ``(order, None)``, where
+    every node comes after the nodes it references, or ``(None, cycle)``
+    with the cycle as a closed path ``(a, ..., a)``. The walk keeps its
+    path on an explicit stack, so graph depth is not bounded by Python's
+    recursion limit.
+    """
+    order: list = []
+    done: set = set()
+    for root in graph:
+        if root in done:
+            continue
+        path = {root: 0}  # node -> position; insertion order is the path
+        edges = [iter(graph[root])]
+        while edges:
+            for ref in edges[-1]:
+                if ref in path:
+                    return None, (*list(path)[path[ref] :], ref)
+                if ref in graph and ref not in done:
+                    path[ref] = len(path)
+                    edges.append(iter(graph[ref]))
+                    break
+            else:
+                node, _ = path.popitem()
+                edges.pop()
+                done.add(node)
+                order.append(node)
+    return tuple(order), None
 
 
 def check_nonrecursive(grammar: Grammar) -> NonrecursionCheck:
@@ -168,41 +195,13 @@ def check_nonrecursive(grammar: Grammar) -> NonrecursionCheck:
 
     In the returned order every rule precedes the rules that reference it.
     """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in grammar.rules}
-    order: list[str] = []
-    path: list[str] = []
-
-    def refs(name: str) -> list[str]:
-        seen: list[str] = []
-        for production in grammar.rules[name]:
-            for symbol in production:
-                if isinstance(symbol, NonTerminal) and symbol.name not in seen:
-                    seen.append(symbol.name)
-        return seen
-
-    def visit(name: str) -> tuple[str, ...] | None:
-        colour[name] = GREY
-        path.append(name)
-        for ref in refs(name):
-            if colour[ref] == GREY:
-                start = path.index(ref)
-                return tuple(path[start:] + [ref])
-            if colour[ref] == WHITE:
-                cycle = visit(ref)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        colour[name] = BLACK
-        order.append(name)
-        return None
-
-    for name in sorted(grammar.rules):
-        if colour[name] == WHITE:
-            cycle = visit(name)
-            if cycle is not None:
-                return NonrecursionCheck(None, cycle)
-    return NonrecursionCheck(tuple(order), None)
+    graph = {
+        name: dict.fromkeys(
+            s.name for p in grammar.rules[name] for s in p if isinstance(s, NonTerminal)
+        )
+        for name in sorted(grammar.rules)
+    }
+    return NonrecursionCheck(*reference_order(graph))
 
 
 def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
@@ -253,18 +252,21 @@ def generate_sentences(grammar: Grammar, seed: int, n: int) -> list[str]:
         raise RecursiveGrammarError(check.cycle)
     rng = random.Random(seed)
 
-    def expand(name: str) -> list[str]:
-        alternatives = grammar.rules[name]
-        production = alternatives[rng.randrange(len(alternatives))]
+    def sentence() -> str:
         words: list[str] = []
-        for symbol in production:
+        stack: list[Symbol] = [NonTerminal(grammar.start)]
+        while stack:
+            symbol = stack.pop()
             if isinstance(symbol, Terminal):
                 words.append(symbol.text)
             else:
-                words.extend(expand(symbol.name))
-        return words
+                alternatives = grammar.rules[symbol.name]
+                # Reversed, so the leftmost symbol is expanded first and the
+                # random draws follow the production's pre-order.
+                stack.extend(reversed(alternatives[rng.randrange(len(alternatives))]))
+        return normalize_sentence(" ".join(words))
 
-    return [normalize_sentence(" ".join(expand(grammar.start))) for _ in range(n)]
+    return [sentence() for _ in range(n)]
 
 
 def rule_count(grammar: Grammar) -> int:

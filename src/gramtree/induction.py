@@ -15,7 +15,16 @@ from itertools import count
 from typing import Iterable, Iterator
 
 from .errors import InternalInvariantError
-from .grammar import Grammar, NonTerminal, Production, Symbol, Terminal, check_nonrecursive
+from .grammar import (
+    Grammar,
+    NonTerminal,
+    Production,
+    Symbol,
+    Terminal,
+    check_nonrecursive,
+    production_text,
+    reference_order,
+)
 from .merge import merge_all, remap_new_slots
 from .template import (
     Element,
@@ -161,31 +170,6 @@ def _ref_edges(vs: set[Value]) -> set[int]:
     return {e.uid for v in vs for e in v if isinstance(e, Slot)}
 
 
-def _is_acyclic(graph: dict[int, set[int]]) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {uid: WHITE for uid in graph}
-    for start in graph:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(start, iter(sorted(graph[start])))]
-        colour[start] = GREY
-        while stack:
-            node, edges = stack[-1]
-            for nxt in edges:
-                if nxt not in graph:
-                    continue
-                if colour[nxt] == GREY:
-                    return False
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, iter(sorted(graph[nxt]))))
-                    break
-            else:
-                colour[node] = BLACK
-                stack.pop()
-    return True
-
-
 def _merge_keeps_acyclic(values: SlotValues, keep: int, drop: int) -> bool:
     """Would unioning ``drop`` into ``keep`` keep slot references acyclic?
 
@@ -201,7 +185,7 @@ def _merge_keeps_acyclic(values: SlotValues, keep: int, drop: int) -> bool:
         if uid not in (keep, drop)
     }
     graph[keep] = _ref_edges(merged)
-    return _is_acyclic(graph)
+    return reference_order(graph)[1] is None
 
 
 def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
@@ -520,11 +504,6 @@ def _emit_grammar(root_template: Template, values: SlotValues) -> Grammar:
             else:
                 out.append(NonTerminal(names[element.uid]))
         return tuple(out)
-
-    def production_text(production: Production) -> str:
-        return " ".join(
-            s.text if isinstance(s, Terminal) else f"#{s.name}#" for s in production
-        )
 
     rules: dict[str, tuple[Production, ...]] = {
         "origin": (symbols(root_template.elements),)

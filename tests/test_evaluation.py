@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gramtree.errors import LanguageTooLargeError
+from gramtree.errors import LanguageTooLargeError, RecursiveGrammarError
 from gramtree.evaluation import (
     EvalReport,
     ExperimentConfig,
@@ -18,7 +18,7 @@ from gramtree.evaluation import (
     reference_depth,
     run_experiment,
 )
-from gramtree.grammar import enumerate_language, parse_tracery
+from gramtree.grammar import Grammar, NonTerminal, enumerate_language, parse_tracery
 from gramtree.induction import induce_grammar
 
 
@@ -76,6 +76,13 @@ def test_reference_depth(fig1_grammar):
     assert reference_depth(parse_tracery('{"origin": "flat"}')) == 1
     nested = parse_tracery(json.dumps({"origin": "#a#", "a": ["#b#"], "b": ["x"]}))
     assert reference_depth(nested) == 3
+
+
+def test_reference_depth_rejects_recursive_grammar():
+    grammar = Grammar("origin", {"origin": ((NonTerminal("A"),),), "A": ((NonTerminal("origin"),), ())})
+    with pytest.raises(RecursiveGrammarError) as info:
+        reference_depth(grammar)
+    assert info.value.cycle == ("A", "origin", "A")
 
 
 def test_run_experiment_full_language(fig1_grammar):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gramtree.cli import main
 from gramtree.errors import GrammarFormatError, RecursiveGrammarError, UnsupportedGrammarError
+from gramtree.evaluation import reference_depth
 from gramtree.grammar import (
     Grammar,
     NonTerminal,
@@ -92,9 +94,7 @@ def test_to_tracery_induced_round_trip():
 def test_check_nonrecursive_fig1(fig1_grammar):
     check = check_nonrecursive(fig1_grammar)
     assert check.ok
-    order = list(check.order)
-    assert order.index("T") < order.index("origin")
-    assert order.index("F") < order.index("origin")
+    assert check.order == ("F", "T", "origin")  # post-order over sorted names
 
 
 def test_check_detects_bracket_language_cycle():
@@ -141,7 +141,51 @@ def test_check_matches_brute_force_on_random_graphs():
         rules["origin"] = (tuple(NonTerminal(n) for n in names),)
         edges["origin"] = names
         grammar = Grammar("origin", rules)
-        assert check_nonrecursive(grammar).ok != brute_force_has_cycle(edges, names + ["origin"])
+        check = check_nonrecursive(grammar)
+        assert check.ok != brute_force_has_cycle(edges, names + ["origin"])
+        if check.ok:
+            assert sorted(check.order) == sorted(rules)
+            position = {name: i for i, name in enumerate(check.order)}
+            for name, targets in edges.items():
+                assert all(position[t] < position[name] for t in targets)
+        else:
+            assert check.order is None
+            assert check.cycle[0] == check.cycle[-1]
+            for source, target in zip(check.cycle, check.cycle[1:]):
+                assert target in edges[source]
+
+
+# Deeper than Python's default recursion limit of 1000 frames.
+CHAIN_LENGTH = 1500
+
+
+def _chain_tracery(body) -> str:
+    """Tracery JSON for origin -> r0 -> r1 -> ... -> r1499 = "end"."""
+    rules = {"origin": "#r0#"}
+    rules.update({f"r{i}": body(i) for i in range(CHAIN_LENGTH - 1)})
+    rules[f"r{CHAIN_LENGTH - 1}"] = "end"
+    return json.dumps(rules)
+
+
+def test_deep_chain_grammar_needs_no_recursion(tmp_path, capsys):
+    # Each rule either stops or goes one rule deeper.
+    text = _chain_tracery(lambda i: [f"w{i}", f"#r{i + 1}#"])
+    grammar = parse_tracery(text)
+    assert check_nonrecursive(grammar).ok
+    language = enumerate_language(grammar).sentences
+    assert language == {f"w{i}" for i in range(CHAIN_LENGTH - 1)} | {"end"}
+    assert reference_depth(grammar) == CHAIN_LENGTH + 1
+    assert set(generate_sentences(grammar, 0, 20)) <= language
+    path = tmp_path / "chain.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["enumerate", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == CHAIN_LENGTH
+
+    # One alternative per rule: every sentence expands the whole chain.
+    single = parse_tracery(_chain_tracery(lambda i: f"w{i} #r{i + 1}#"))
+    sentence = " ".join([f"w{i}" for i in range(CHAIN_LENGTH - 1)] + ["end"])
+    assert enumerate_language(single).sentences == {sentence}
+    assert generate_sentences(single, 0, 2) == [sentence, sentence]
 
 
 def test_enumerate_fig1(fig1_grammar):
