@@ -217,9 +217,22 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     check = check_nonrecursive(grammar)
     if not check.ok:
         raise RecursiveGrammarError(check.cycle)
+    # A rule's expansions are dropped once the last rule referencing it is
+    # done; the start rule's are the result.
+    last_use = {name: position for position, name in enumerate(check.order)}
+    for position, name in enumerate(check.order):
+        for production in grammar.rules[name]:
+            for symbol in production:
+                if isinstance(symbol, NonTerminal):
+                    last_use[symbol.name] = position
+    released: dict[int, list[str]] = {}
+    for name, position in last_use.items():
+        if name != grammar.start:
+            released.setdefault(position, []).append(name)
+
     expansions: dict[str, list[str]] = {}
     truncated = False
-    for name in check.order:
+    for position, name in enumerate(check.order):
         seen: set[str] = set()
         rule_truncated = False
         for production in grammar.rules[name]:
@@ -237,6 +250,8 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
             if rule_truncated:
                 break
         expansions[name] = sorted(seen)
+        for done in released.get(position, ()):
+            del expansions[done]
     return LanguageSet(frozenset(expansions[grammar.start]), truncated)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -159,11 +160,11 @@ def test_check_matches_brute_force_on_random_graphs():
 CHAIN_LENGTH = 1500
 
 
-def _chain_tracery(body) -> str:
-    """Tracery JSON for origin -> r0 -> r1 -> ... -> r1499 = "end"."""
+def _chain_tracery(body, length: int = CHAIN_LENGTH) -> str:
+    """Tracery JSON for origin -> r0 -> r1 -> ... -> r{length - 1} = "end"."""
     rules = {"origin": "#r0#"}
-    rules.update({f"r{i}": body(i) for i in range(CHAIN_LENGTH - 1)})
-    rules[f"r{CHAIN_LENGTH - 1}"] = "end"
+    rules.update({f"r{i}": body(i) for i in range(length - 1)})
+    rules[f"r{length - 1}"] = "end"
     return json.dumps(rules)
 
 
@@ -186,6 +187,20 @@ def test_deep_chain_grammar_needs_no_recursion(tmp_path, capsys):
     sentence = " ".join([f"w{i}" for i in range(CHAIN_LENGTH - 1)] + ["end"])
     assert enumerate_language(single).sentences == {sentence}
     assert generate_sentences(single, 0, 2) == [sentence, sentence]
+
+
+def test_enumerate_drops_expansions_no_longer_referenced():
+    # Rule r_i holds 200 - i sentences of up to 200 - i words, about 1.3
+    # million words over all 200 rules; only origin's sentences are returned.
+    grammar = parse_tracery(_chain_tracery(lambda i: [f"w{i}", f"w{i} #r{i + 1}#"], length=200))
+    tracemalloc.start()
+    try:
+        language = enumerate_language(grammar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(language.sentences) == 200 and not language.truncated
+    assert peak < 2 * 1024 * 1024
 
 
 def test_enumerate_fig1(fig1_grammar):

@@ -6,10 +6,22 @@ and minimises the distance formula directly. It shares no code with the
 DP implementation.
 """
 
+import random
+
 import pytest
 
 from gramtree.merge import distance, merge_all, merge_templates
-from gramtree.template import Slot, Template, Token, canonical_key, render, slot_count, token_count
+from gramtree.template import (
+    Slot,
+    Template,
+    Token,
+    canonical_key,
+    format_template,
+    render,
+    slot_count,
+    token_count,
+    tokenize,
+)
 
 from conftest import template
 
@@ -94,6 +106,15 @@ def test_merge_inserts_slot_for_divergence():
     assert result.alignments[1][uid] == (Token("people"),)
 
 
+def test_merge_breaks_ties_leftmost():
+    # Matching "a" to either "a" of t2 leaves two gaps; the leftmost wins.
+    result = merge_templates(template("a"), template("b a b a b"))
+    first, token, second = result.merged.elements
+    assert token == Token("a")
+    assert result.alignments[1][first.uid] == (Token("b"),)
+    assert result.alignments[1][second.uid] == (Token("b"), Token("a"), Token("b"))
+
+
 def test_merge_prefix_divergence():
     merged = merge_templates(template("hello world"), template("hi world")).merged
     assert isinstance(merged.elements[0], Slot)
@@ -167,6 +188,42 @@ def test_distance_matches_oracle_on_small_templates():
     for t1 in pool:
         for t2 in pool:
             assert distance(t1, t2) == brute_force_distance(t1, t2), (str(t1), str(t2))
+
+
+def test_merge_and_distance_match_oracle_on_random_templates():
+    # Up to 6 elements from 3 words and 3 slot ids shared between both
+    # sides; crossed pairs such as "hi <X>" / "<Y> hi" break the length
+    # bound and take the enumeration fallback.
+    rng = random.Random(2009)
+    parts = ("a", "b", "c", 0, 1, 2)
+    for _ in range(500):
+        t1, t2 = (template(*rng.choices(parts, k=rng.randint(0, 6))) for _ in range(2))
+        merged = merge_templates(t1, t2).merged
+        assert (token_count(merged), slot_count(merged)) == brute_force_merge_stats(t1, t2), (
+            str(t1),
+            str(t2),
+        )
+        assert distance(t1, t2) == brute_force_distance(t1, t2), (str(t1), str(t2))
+
+
+def test_merge_finds_fewest_slots_among_many_longest_alignments():
+    # More than 64 longest alignments: the best of the leftmost 64 has 6
+    # slots, the best of all 5.
+    t1 = tokenize(
+        "the old king of the high castle and the knight of the rose of the land"
+        " of the dead met the dragon in the hall of the the end"
+    )
+    t2 = tokenize(
+        "the queen of the north of the high castle and the knight of the west met"
+        " the the dragon in the great hall of the kingdom"
+    )
+    merged = merge_templates(t1, t2).merged
+    assert slot_count(merged) == 5
+    assert format_template(merged, ascii_slots=True) == (
+        "the <A> of the high castle and the knight of the <B> the <C> the dragon"
+        " in the <D> hall of the <E>"
+    )
+    assert distance(t1, t2) == 16
 
 
 def _product(words, n):
