@@ -38,8 +38,10 @@ class ExperimentConfig:
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be positive")
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1")
+        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+            raise ValueError("sample sizes must be a non-empty list of positive sizes")
 
 
 @dataclass(frozen=True)

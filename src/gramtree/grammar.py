@@ -212,8 +212,11 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     subset of the language, not an error).
 
     Raises:
+        ValueError: ``cap`` is below 1.
         RecursiveGrammarError: the grammar has a reference cycle.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     check = check_nonrecursive(grammar)
     if not check.ok:
         raise RecursiveGrammarError(check.cycle)

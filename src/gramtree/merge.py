@@ -5,10 +5,10 @@ and turns every maximal run of unmatched elements into a single inserted
 slot. The alignment is exact: a dynamic program with affine gap costs
 (Gotoh, 1982) finds the most matches, then the smallest ``s_m - l_m``, then
 the fewest slots, and a forward walk over its tables takes the leftmost
-such alignment. A merge may not be longer than both inputs; only in the
-rare case that the best alignment breaks that bound does a capped
-enumeration of alignments by descending size take over, ending at the
-single slot that covers both inputs.
+such alignment. A merge may not be longer than both inputs; in the rare
+case that the best alignment breaks that bound, the same program, with the
+merge elements still allowed as a budget, finds the best one that keeps it.
+Both are exact on every input: no count of alignments is capped.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .template import (
     slot_ids,
     token_count,
 )
-
-# Alignments per size that the length-bound fallback tries.
-ALIGNMENT_CAP = 64
 
 Coverage = dict[int, tuple[Element, ...]]
 Pairs = tuple[tuple[int, int], ...]
@@ -109,11 +106,13 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     gaps = _gap_count(core, len(ka), len(kb))
     if len(core) + gaps <= max(len(ka), len(kb)):
         return untrimmed(core), gaps
+    core, gaps = _bounded_alignment(ka, kb)
+    trimmed = (untrimmed(core), gaps)
+    if lo == hi == 0:
+        return trimmed
     # Under the length bound an identical end may be better left unmatched,
     # so the whole templates are tried too; they win only when strictly
     # better.
-    core, gaps = _bounded_alignment(ka, kb)
-    trimmed = (untrimmed(core), gaps)
     keys = match_keys(t1)
     whole = _bounded_alignment(keys, match_keys(t2))
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
@@ -204,31 +203,80 @@ def _rank(pairs: Pairs, gaps: int, ka: Keys) -> tuple[int, int, int]:
 
 
 def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
-    """Best alignment whose merge is no longer than the longer input.
+    """The exact best alignment whose merge is no longer than the longer input.
 
-    Tries alignments by descending size, the leftmost ``ALIGNMENT_CAP`` of
-    each size, and degrades to the single slot covering both inputs.
+    The program of ``_best_alignment`` with a budget, the merge elements
+    still allowed: a match or a gap uses one. A cell holds the Pareto front
+    of ``(elements, -score)`` over its sub-alignments, fewest elements first.
     """
-    room = max(len(ka), len(kb))
-    dp = _lcs_table(ka, kb)
-    for size in range(dp[0][0], 0, -1):
-        best: tuple[tuple[int, int, int], Pairs, int] | None = None
-        for core in _matchings_of_size(dp, ka, kb, size):
-            gaps = _gap_count(core, len(ka), len(kb))
-            if size + gaps > room:
-                continue
-            rank = _rank(core, gaps, ka)
-            if best is None or rank < best[0]:
-                best = (rank, core, gaps)
-        if best is not None:
-            return best[1], best[2]
-    return (), 1
+    n, m = len(ka), len(kb)
+    room = max(n, m)
+    w2 = n + m + 2
+    w1 = (2 * (n + m) + 2) * w2
+    gap = w2 + 1
+    values = [w1 - 2 * w2 - 1 if x is None else w1 for x in ka]
 
+    def front(options: list[tuple[int, int]], floor: int) -> list[tuple[int, int]]:
+        # Every path reaches the cell with at least ``floor`` elements left,
+        # so of the options within ``floor`` only the best one counts.
+        kept: list[tuple[int, int]] = []
+        for used, loss in sorted(options):
+            if not kept or loss < kept[-1][1]:
+                if used <= floor:
+                    kept.clear()
+                kept.append((used, loss))
+        return kept
 
-def _fresh_base(a: tuple[Element, ...], b: tuple[Element, ...]) -> int:
-    ids = [e.uid for e in a if isinstance(e, Slot)]
-    ids += [e.uid for e in b if isinstance(e, Slot)]
-    return max(ids, default=-1) + 1
+    # f and g as in _best_alignment, as fronts; a gap uses its element where
+    # it closes. A path uses at most 2 * min(i, j) elements before (i, j).
+    last_gap = [(1, gap)]
+    f = [[last_gap] * (m + 1) for _ in range(n + 1)]
+    f[n][m] = [(0, 0)]
+    g_next = [last_gap] * (m + 1)
+    for i in range(n - 1, -1, -1):
+        x, value = ka[i], values[i]
+        f_row, f_next = f[i], f[i + 1]
+        g_row = [last_gap] * (m + 1)
+        carry = last_gap
+        for j in range(m - 1, -1, -1):
+            floor = room - 2 * min(i, j)
+            below = g_next[j]
+            in_gap = below if below is carry else front(below + carry, floor)
+            if x == kb[j]:
+                after = f_next[j + 1]
+                here = [(used + 1, loss - value) for used, loss in after]
+                f_row[j] = front(in_gap + here, floor)
+                here = [(used + 2, loss - value + gap) for used, loss in after]
+                in_gap = front(in_gap + here, floor)
+            else:
+                f_row[j] = in_gap
+            g_row[j] = carry = in_gap
+        g_next = g_row
+
+    def score(i: int, j: int, r: int) -> int:
+        # The best score within ``r`` elements, or one below every real score.
+        return -min((loss for used, loss in f[i][j] if used <= r), default=(n + m + 2) * w1)
+
+    # The forward walk of _best_alignment, spending the budget as it goes.
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    r = room
+    for _ in range(-(-score(0, 0, r) // w1)):
+        want = score(i, j, r)
+        if ka[i] == kb[j] and values[i] + score(i + 1, j + 1, r - 1) == want:
+            p, q, r = i, j, r - 1
+        else:
+            p, q = next(
+                (p, q)
+                for p in range(i, n)
+                for q in range(j, m)
+                if ka[p] == kb[q] and values[p] + score(p + 1, q + 1, r - 2) == want + gap
+            )
+            r -= 2
+        pairs.append((p, q))
+        i, j = p + 1, q + 1
+    core = tuple(pairs)
+    return core, _gap_count(core, n, m)
 
 
 def _build(
@@ -237,7 +285,7 @@ def _build(
     pairs: Pairs,
 ) -> tuple[list[Element], Coverage, Coverage]:
     """Turn one alignment into a merged element list plus slot coverages."""
-    fresh = count(_fresh_base(a, b))
+    fresh = count(max((e.uid for e in a + b if isinstance(e, Slot)), default=-1) + 1)
     elements: list[Element] = []
     cov1: Coverage = {}
     cov2: Coverage = {}
@@ -264,62 +312,6 @@ def _build(
         i, j = mi + 1, mj + 1
     emit_gap(a[i:], b[j:])
     return elements, cov1, cov2
-
-
-def _lcs_table(ka: Keys, kb: Keys) -> list[list[int]]:
-    """dp[i][j] = longest common subsequence length of ka[i:], kb[j:].
-
-    Inputs are per-element match keys (token text, or None for a slot);
-    elements align iff their keys are equal.
-    """
-    n, m = len(ka), len(kb)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, below = dp[i], dp[i + 1]
-        x = ka[i]
-        for j in range(m - 1, -1, -1):
-            here = below[j] if below[j] >= row[j + 1] else row[j + 1]
-            if x == kb[j] and below[j + 1] + 1 > here:
-                here = below[j + 1] + 1
-            row[j] = here
-    return dp
-
-
-def _matchings_of_size(
-    dp: list[list[int]],
-    ka: Keys,
-    kb: Keys,
-    size: int,
-    cap: int = ALIGNMENT_CAP,
-) -> list[Pairs]:
-    """All alignments of exactly ``size`` matches, leftmost first, capped."""
-    n, m = len(ka), len(kb)
-    results: list[Pairs] = []
-    acc: list[tuple[int, int]] = []
-
-    def walk(i: int, j: int, need: int) -> None:
-        if len(results) >= cap:
-            return
-        if need == 0:
-            results.append(tuple(acc))
-            return
-        for i2 in range(i, n):
-            if dp[i2][j] < need:
-                break
-            x = ka[i2]
-            row_next = dp[i2 + 1]
-            for j2 in range(j, m):
-                if dp[i2][j2] < need:
-                    break
-                if x == kb[j2] and row_next[j2 + 1] >= need - 1:
-                    acc.append((i2, j2))
-                    walk(i2 + 1, j2 + 1, need - 1)
-                    acc.pop()
-                    if len(results) >= cap:
-                        return
-
-    walk(0, 0, size)
-    return results
 
 
 def remap_new_slots(

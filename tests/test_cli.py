@@ -66,6 +66,14 @@ def test_enumerate_truncation_warns_but_succeeds(fig1_file, capsys):
     assert "truncated" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_enumerate_cap_below_one_is_usage_error(fig1_file, capsys, cap):
+    assert main(["enumerate", str(fig1_file), "--cap", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap must be >= 1" in captured.err
+
+
 def test_generate_command(fig1_file, capsys):
     assert main(["generate", str(fig1_file), "--seed", "5", "--count", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -94,6 +102,18 @@ def test_eval_command_json(fig1_file, capsys):
 
 def test_eval_bad_sizes_is_usage_error(fig1_file, capsys):
     assert main(["eval", str(fig1_file), "--sizes", "abc"]) == 1
+
+
+def test_eval_cap_below_one_is_usage_error(fig1_file, capsys):
+    assert main(["eval", str(fig1_file), "--sizes", "6", "--cap", "0"]) == 1
+    assert "cap must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_empty_sizes_is_usage_error(fig1_file, capsys):
+    assert main(["eval", str(fig1_file), "--sizes", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sample sizes" in captured.err
 
 
 def test_eval_oversized_sample_is_usage_error(fig1_file, capsys):

@@ -129,6 +129,16 @@ def test_run_experiment_tokenless_two_by_two_stays_sound():
     assert size.median_in_lg == 3 and size.median_not_in_lg == 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"sample_sizes": ()}, {"sample_sizes": (5, 0)}, {"cap": 0}, {"cap": -3}],
+    ids=["no-sizes", "zero-size", "zero-cap", "negative-cap"],
+)
+def test_experiment_config_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**fields)
+
+
 def test_run_experiment_rejects_oversized_samples(fig1_grammar):
     with pytest.raises(ValueError, match="sample size"):
         run_experiment(fig1_grammar, ExperimentConfig(sample_sizes=(13,)))

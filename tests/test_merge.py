@@ -193,11 +193,17 @@ def test_distance_matches_oracle_on_small_templates():
 def test_merge_and_distance_match_oracle_on_random_templates():
     # Up to 6 elements from 3 words and 3 slot ids shared between both
     # sides; crossed pairs such as "hi <X>" / "<Y> hi" break the length
-    # bound and take the enumeration fallback.
+    # bound and take the length-bounded program. The fixed pair has 99
+    # alignments of 4 matches: the best within the bound among the leftmost
+    # 64 gives 6 slots and distance 2, the best of all 5 slots and 1.
     rng = random.Random(2009)
     parts = ("a", "b", "c", 0, 1, 2)
-    for _ in range(500):
-        t1, t2 = (template(*rng.choices(parts, k=rng.randint(0, 6))) for _ in range(2))
+    fixed = [(template(0, 1, 1, 0, "w0", 1, 1), template("w1", 0, "w0", 0, 1, 0, 0))]
+    randoms = [
+        tuple(template(*rng.choices(parts, k=rng.randint(0, 6))) for _ in range(2))
+        for _ in range(500)
+    ]
+    for t1, t2 in fixed + randoms:
         merged = merge_templates(t1, t2).merged
         assert (token_count(merged), slot_count(merged)) == brute_force_merge_stats(t1, t2), (
             str(t1),
