@@ -31,7 +31,6 @@ from .template import (
     Slot,
     Template,
     Token,
-    canonical_key,
     element_key,
     format_template,
     slot_ids,
@@ -161,6 +160,16 @@ def _rewrite_all(values: SlotValues, mapping: SlotReplacement) -> None:
         values[uid] = {_rewrite_value(v, mapping) for v in values[uid]}
 
 
+def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int) -> None:
+    """Drop slot ``old`` for ``new`` from the values, the replacement and every reference."""
+    del values[old]
+    for source, target in list(replacement.items()):
+        if target == old:
+            replacement[source] = new
+    replacement[old] = new
+    _rewrite_all(values, {old: new})
+
+
 def _jaccard(a: set[Value], b: set[Value]) -> float:
     union = len(a | b)
     return len(a & b) / union if union else 1.0
@@ -220,12 +229,7 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
             break
         keep, drop = chosen
         values[keep] |= values[drop]
-        del values[drop]
-        for old, target in list(replacement.items()):
-            if target == drop:
-                replacement[old] = keep
-        replacement[drop] = keep
-        _rewrite_all(values, {drop: keep})
+        _retire(values, replacement, drop, keep)
     return values, replacement
 
 
@@ -295,12 +299,7 @@ def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement]:
             if len(values[uid]) == 1:
                 ref = _slot_ref(next(iter(values[uid])))
                 if ref is not None and ref != uid and ref in values:
-                    del values[uid]
-                    for old, target in list(replacement.items()):
-                        if target == uid:
-                            replacement[old] = ref
-                    replacement[uid] = ref
-                    _rewrite_all(values, {uid: ref})
+                    _retire(values, replacement, uid, ref)
                     changed = True
 
         if not changed:
@@ -342,7 +341,6 @@ def collapse_tree(
     tree: TemplateTreeNode,
     values: SlotValues,
     replacement: SlotReplacement,
-    max_iterations: int = MAX_PASSES,
 ) -> TemplateTreeNode:
     """Simplify the tree with known slot values until it stops changing.
 
@@ -354,14 +352,14 @@ def collapse_tree(
     structurally unchanged).
 
     Raises:
-        InternalInvariantError: no fixpoint within ``max_iterations``.
+        InternalInvariantError: no fixpoint within ``MAX_PASSES`` iterations.
     """
     root = copy_tree(tree)
     value_ids = [uid for uid in values] + [
         e.uid for vs in values.values() for v in vs for e in v if isinstance(e, Slot)
     ]
     fresh = count(max([max_slot_id(root)] + value_ids, default=-1) + 1)
-    for _ in range(max_iterations):
+    for _ in range(MAX_PASSES):
         changed = _apply_replacement(root, replacement)
         changed |= _collapse_pass(root, values)
         changed |= _recalculate(root, fresh)
@@ -437,7 +435,7 @@ def _recalculate(node: TemplateTreeNode, fresh: Iterator[int]) -> bool:
     if not node.is_leaf:
         child_templates = tuple(c.template for c in node.children)
         candidate = merge_all(child_templates)
-        if canonical_key(candidate) != canonical_key(node.template):
+        if candidate.canonical_key != node.template.canonical_key:
             node.template = remap_new_slots(candidate, child_templates, fresh)
             changed = True
     return changed

@@ -24,8 +24,6 @@ from .template import (
     Slot,
     Template,
     Token,
-    canonical_key,
-    match_keys,
     slot_count,
     slot_ids,
     token_count,
@@ -50,7 +48,7 @@ def merge_templates(t1: Template, t2: Template) -> MergeResult:
     Both inputs are recoverable from the result by substituting each slot
     with the element run recorded for it in ``alignments``.
     """
-    flipped = canonical_key(t2) < canonical_key(t1)
+    flipped = t2.canonical_key < t1.canonical_key
     if flipped:
         t1, t2 = t2, t1
     pairs, _ = _alignment(t1, t2)
@@ -58,15 +56,16 @@ def merge_templates(t1: Template, t2: Template) -> MergeResult:
     return MergeResult(Template(tuple(elements)), (cov2, cov1) if flipped else (cov1, cov2))
 
 
+# Cached because collapse re-scores the pairs that tree learning scored.
 @lru_cache(maxsize=1 << 15)
 def distance(t1: Template, t2: Template) -> int:
     """Merge-based distance: max(l1, l2) - l_m + s_m - min(s1, s2).
 
     ``l_m`` and ``s_m`` are counted on the alignment; the merge is not built.
     """
-    if canonical_key(t2) < canonical_key(t1):
+    if t2.canonical_key < t1.canonical_key:
         t1, t2 = t2, t1
-    _, slots_minus_tokens, _ = _rank(*_alignment(t1, t2), match_keys(t1))
+    _, slots_minus_tokens, _ = _rank(*_alignment(t1, t2), t1.match_keys)
     return (
         max(token_count(t1), token_count(t2))
         + slots_minus_tokens
@@ -74,6 +73,7 @@ def distance(t1: Template, t2: Template) -> int:
     )
 
 
+# Cached because collapse re-scores the pairs that tree learning scored.
 @lru_cache(maxsize=1 << 15)
 def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     """The merge alignment of two templates, ``t1`` first in canonical order.
@@ -93,7 +93,7 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     while hi < n - lo and hi < m - lo and a[n - 1 - hi] == b[m - 1 - hi]:
         hi += 1
 
-    ka, kb = match_keys(t1)[lo : n - hi], match_keys(t2)[lo : m - hi]
+    ka, kb = t1.match_keys[lo : n - hi], t2.match_keys[lo : m - hi]
 
     def untrimmed(core: Pairs) -> Pairs:
         return (
@@ -113,8 +113,8 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     # Under the length bound an identical end may be better left unmatched,
     # so the whole templates are tried too; they win only when strictly
     # better.
-    keys = match_keys(t1)
-    whole = _bounded_alignment(keys, match_keys(t2))
+    keys = t1.match_keys
+    whole = _bounded_alignment(keys, t2.match_keys)
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
 
 
@@ -337,6 +337,7 @@ def remap_new_slots(
     return Template(tuple(elements))
 
 
+# Cached because each collapse pass and induction round recalculates mostly the same child tuples.
 @lru_cache(maxsize=1 << 12)
 def merge_all(templates: tuple[Template, ...]) -> Template:
     """Fold templates into one by repeatedly merging the closest pair.
@@ -354,10 +355,10 @@ def merge_all(templates: tuple[Template, ...]) -> Template:
 
     def push_pairs(seq: int, others: Sequence[int]) -> None:
         t = alive[seq]
-        k = canonical_key(t)
+        k = t.canonical_key
         for other in others:
             u = alive[other]
-            ku = canonical_key(u)
+            ku = u.canonical_key
             kmin, kmax = (k, ku) if k <= ku else (ku, k)
             heappush(heap, (distance(t, u), kmin, kmax, min(seq, other), max(seq, other)))
 

@@ -8,7 +8,7 @@ only when a template is printed or serialised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 
@@ -46,12 +46,43 @@ class Template:
         return format_template(self)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Pickle the elements alone: the memos below, above all the string
+        # hash, are valid only in the interpreter that computed them.
+        return (Template, (self.elements,))
+
+    @cached_property
+    def _hash(self) -> int:
         # Templates are hashed constantly by the merge caches; memoise.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self.elements)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash(self.elements)
+
+    @cached_property
+    def match_keys(self) -> tuple[str | None, ...]:
+        """Per-element merge-matching keys: token text, or None for any slot.
+
+        Two elements can be aligned iff their keys compare equal (token
+        texts must match; every slot matches every slot).
+        """
+        return tuple(e.text if isinstance(e, Token) else None for e in self.elements)
+
+    @cached_property
+    def canonical_key(self) -> tuple:
+        """Structural key: slot ids normalised by order of first occurrence.
+
+        Two templates are "the same shape" iff their canonical keys are
+        equal; this is the equality used for dedup during learning and for
+        fixpoint checks, where concrete slot ids are arbitrary.
+        """
+        order: dict[int, int] = {}
+        key: list[tuple] = []
+        for e in self.elements:
+            if isinstance(e, Token):
+                key.append(("t", e.text))
+            else:
+                key.append(("s", order.setdefault(e.uid, len(order))))
+        return tuple(key)
 
 
 def tokenize(text: str) -> Template:
@@ -85,26 +116,14 @@ def render(template: Template, assignment: Mapping[int, Sequence[Token]]) -> str
     return " ".join(words)
 
 
-@lru_cache(maxsize=1 << 16)
 def token_count(template: Template) -> int:
     """Number of token (non-slot) elements."""
-    return sum(1 for e in template.elements if isinstance(e, Token))
+    return len(template) - slot_count(template)
 
 
-@lru_cache(maxsize=1 << 16)
 def slot_count(template: Template) -> int:
     """Number of slot elements."""
-    return sum(1 for e in template.elements if isinstance(e, Slot))
-
-
-@lru_cache(maxsize=1 << 16)
-def match_keys(template: Template) -> tuple[str | None, ...]:
-    """Per-element merge-matching keys: token text, or None for any slot.
-
-    Two elements can be aligned iff their keys compare equal (token texts
-    must match; every slot matches every slot).
-    """
-    return tuple(e.text if isinstance(e, Token) else None for e in template.elements)
+    return template.match_keys.count(None)
 
 
 def slot_ids(template: Template) -> tuple[int, ...]:
@@ -142,24 +161,6 @@ def element_key(element: Element) -> tuple:
     if isinstance(element, Token):
         return (0, element.text)
     return (1, element.uid)
-
-
-@lru_cache(maxsize=1 << 16)
-def canonical_key(template: Template) -> tuple:
-    """Structural key: slot ids normalised by order of first occurrence.
-
-    Two templates are "the same shape" iff their canonical keys are equal;
-    this is the equality used for dedup during learning and for fixpoint
-    checks, where concrete slot ids are arbitrary.
-    """
-    order: dict[int, int] = {}
-    key: list[tuple] = []
-    for e in template.elements:
-        if isinstance(e, Token):
-            key.append(("t", e.text))
-        else:
-            key.append(("s", order.setdefault(e.uid, len(order))))
-    return tuple(key)
 
 
 def normalize_sentence(text: str) -> str:

@@ -14,7 +14,7 @@ from itertools import count
 from typing import Iterable
 
 from .merge import distance, merge_templates, remap_new_slots
-from .template import Template, canonical_key, format_template, normalize_sentence, slot_ids, tokenize
+from .template import Template, format_template, normalize_sentence, slot_ids, tokenize
 
 
 @dataclass(eq=False)
@@ -144,7 +144,7 @@ def learn_template_tree(
     active: dict[tuple, TemplateTreeNode] = {}
     for text in distinct:
         leaf = TemplateTreeNode(tokenize(text), leaf_text=text)
-        active[canonical_key(leaf.template)] = leaf
+        active[leaf.template.canonical_key] = leaf
 
     heap: list[tuple[int, tuple[tuple, tuple]]] = []
 
@@ -181,7 +181,7 @@ def learn_template_tree(
             n2 = active.pop(k2)
             result = merge_templates(n1.template, n2.template)
             merged = remap_new_slots(result.merged, (n1.template, n2.template), fresh_ids)
-            key = canonical_key(merged)
+            key = merged.canonical_key
             if key in active:
                 active[key].children.extend((n1, n2))
             elif key in fresh:

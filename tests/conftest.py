@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gramtree
 from gramtree import Grammar, parse_tracery
 from gramtree.template import Slot, Template, Token
 
@@ -48,3 +52,12 @@ def template(*parts) -> Template:
         else:
             elements.extend(Token(word) for word in part.split())
     return Template(tuple(elements))
+
+
+def run_python(code: str, stdin: str = "", **env: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this gramtree; return stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gramtree.__file__).parents[1]), **env}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout

@@ -14,7 +14,7 @@ from gramtree.induction import (
 from gramtree.template import Slot, Token, slot_count
 from gramtree.tree import TemplateTreeNode, leaf_texts, tree_equal
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, template
+from conftest import TWO_BY_TWO, FIG1_SENTENCES, run_python, template
 
 
 def leaf(text):
@@ -304,6 +304,19 @@ def test_induce_is_deterministic():
     texts = ["u v a", "u v b", "w v a", "w v b", "u z c"]
     first = to_tracery(induce_grammar(texts, ratio=0.5))
     assert to_tracery(induce_grammar(list(reversed(texts)), ratio=0.5)) == first
+
+
+def test_induce_does_not_depend_on_process_state():
+    # The merge caches outlive a call; warm them with overlapping corpora
+    # first, then compare against a fresh interpreter.
+    corpus = sorted(FIG1_SENTENCES)
+    for other in (TWO_BY_TWO, corpus[:6], corpus[3:], corpus[::2]):
+        induce_grammar(other)
+    script = (
+        "import sys; from gramtree import induce_grammar, to_tracery; "
+        "sys.stdout.write(to_tracery(induce_grammar(sys.stdin.read().splitlines())))"
+    )
+    assert run_python(script, stdin="\n".join(corpus)) == to_tracery(induce_grammar(corpus))
 
 
 def test_induce_covers_training_data():

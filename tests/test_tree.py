@@ -1,6 +1,6 @@
 import pytest
 
-from gramtree.template import canonical_key, slot_count
+from gramtree.template import slot_count
 from gramtree.tree import (
     TemplateTreeNode,
     format_tree,
@@ -22,12 +22,12 @@ def test_learn_two_by_two_structure():
     root = learn_template_tree(TWO_BY_TWO)
     # root is a two-element, all-slot template over two intermediate nodes
     assert len(root.template) == 2 and slot_count(root.template) == 2
-    mid_keys = {canonical_key(c.template) for c in root.children}
+    mid_keys = {c.template.canonical_key for c in root.children}
     expected = {
-        canonical_key(template("hello", 0)),
-        canonical_key(template(0, "world")),
-        canonical_key(template("hi", 0)),
-        canonical_key(template(0, "people")),
+        template("hello", 0).canonical_key,
+        template(0, "world").canonical_key,
+        template("hi", 0).canonical_key,
+        template(0, "people").canonical_key,
     }
     assert mid_keys <= expected
     assert leaf_texts(root) == frozenset(TWO_BY_TWO)
