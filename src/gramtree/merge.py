@@ -73,6 +73,32 @@ def distance(t1: Template, t2: Template) -> int:
     )
 
 
+def distance_lower_bound(t1: Template, t2: Template) -> int:
+    """A cheap lower bound on ``distance(t1, t2)``, symmetric in its inputs.
+
+    ``L``, the longest common subsequence of the two token sequences (slots
+    removed), bounds the merge's tokens: ``l_m <= L``. If ``L`` is below
+    ``top = max(l1, l2)``, some token is unmatched and forces a gap, and every
+    gap is a slot of the merge. So ``distance >= top - L + (L < top) -
+    min(s1, s2)``; the length-bounded alignment only lowers ``l_m``. ``L``
+    comes from the bit-parallel LCS-length recurrence over Python ints
+    (Allison & Dix, 1986; Hyyrö, 2004): one pass over the shorter sequence,
+    with the longer one's positions as bits.
+    """
+    l1, l2 = token_count(t1), token_count(t2)
+    if l1 < l2:
+        t1, t2, l1, l2 = t2, t1, l2, l1
+    masks = t1.token_masks
+    full = (1 << l1) - 1
+    v = full  # the zero bits of v count the LCS so far
+    for key in t2.match_keys:
+        if key is not None:
+            u = v & masks.get(key, 0)
+            v = ((v + u) | (v - u)) & full
+    lcs = l1 - v.bit_count()
+    return l1 - lcs + (lcs < l1) - min(slot_count(t1), slot_count(t2))
+
+
 # Cached because collapse re-scores the pairs that tree learning scored.
 @lru_cache(maxsize=1 << 15)
 def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
@@ -346,12 +372,19 @@ def merge_all(templates: tuple[Template, ...]) -> Template:
     inherited from the inputs survive; inserted slots get ids above every
     input id, assigned deterministically, so the result is a pure function
     of the input tuple.
+
+    Pairs are scored lazily: a pair enters the heap with
+    ``distance_lower_bound`` and gets its exact ``distance`` only when it
+    reaches the top of the heap with both templates unmerged; entries of
+    merged-away templates are dropped unscored. At equal value a bound sorts before an exact distance, so an
+    exact entry on top is the closest pair under the full tie order.
     """
     if not templates:
         raise ValueError("merge_all requires at least one template")
     fresh = count(max((uid for t in templates for uid in slot_ids(t)), default=-1) + 1)
     alive: dict[int, Template] = dict(enumerate(templates))
-    heap: list[tuple[int, tuple, tuple, int, int]] = []
+    # (value, exact, tie keys...): exact is 0 for a bound, 1 for a distance.
+    heap: list[tuple[int, int, tuple, tuple, int, int]] = []
 
     def push_pairs(seq: int, others: Sequence[int]) -> None:
         t = alive[seq]
@@ -360,7 +393,9 @@ def merge_all(templates: tuple[Template, ...]) -> Template:
             u = alive[other]
             ku = u.canonical_key
             kmin, kmax = (k, ku) if k <= ku else (ku, k)
-            heappush(heap, (distance(t, u), kmin, kmax, min(seq, other), max(seq, other)))
+            heappush(
+                heap, (distance_lower_bound(t, u), 0, kmin, kmax, min(seq, other), max(seq, other))
+            )
 
     seqs = list(alive)
     for pos, seq in enumerate(seqs):
@@ -368,8 +403,11 @@ def merge_all(templates: tuple[Template, ...]) -> Template:
 
     next_seq = len(templates)
     while len(alive) > 1:
-        _, _, _, s1, s2 = heappop(heap)
+        _, exact, kmin, kmax, s1, s2 = heappop(heap)
         if s1 not in alive or s2 not in alive:
+            continue
+        if not exact:
+            heappush(heap, (distance(alive[s1], alive[s2]), 1, kmin, kmax, s1, s2))
             continue
         merged = merge_templates(alive[s1], alive[s2]).merged
         merged = remap_new_slots(merged, (alive[s1], alive[s2]), fresh)

@@ -68,6 +68,18 @@ class Template:
         return tuple(e.text if isinstance(e, Token) else None for e in self.elements)
 
     @cached_property
+    def token_masks(self) -> dict[str, int]:
+        """Per token text, the bit set of its positions among the tokens.
+
+        Slots are skipped: bit ``i`` stands for the ``i``-th token. These are
+        the match masks of a bit-parallel LCS over the token sequence.
+        """
+        masks: dict[str, int] = {}
+        for i, text in enumerate(k for k in self.match_keys if k is not None):
+            masks[text] = masks.get(text, 0) | 1 << i
+        return masks
+
+    @cached_property
     def canonical_key(self) -> tuple:
         """Structural key: slot ids normalised by order of first occurrence.
 

@@ -4,6 +4,12 @@ A template tree is learned bottom-up: all distinct input sentences start as
 leaves, and the closest pair of parentless templates is repeatedly merged
 until a single root remains. Every merge records the merged nodes as
 children of the node holding the merge result.
+
+Pairs are scored lazily (lazy greedy; Minoux, 1978). A pair is queued with
+``distance_lower_bound``, a bit-parallel token-LCS bound, and its exact
+``distance`` is computed only when the entry reaches the top of the heap
+with both ends still active; entries of merged-away templates are dropped
+unscored. Most queued pairs never get an exact distance.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable
 
-from .merge import distance, merge_templates, remap_new_slots
+from .merge import distance, distance_lower_bound, merge_templates, remap_new_slots
 from .template import Template, format_template, normalize_sentence, slot_ids, tokenize
 
 
@@ -146,11 +152,15 @@ def learn_template_tree(
         leaf = TemplateTreeNode(tokenize(text), leaf_text=text)
         active[leaf.template.canonical_key] = leaf
 
-    heap: list[tuple[int, tuple[tuple, tuple]]] = []
+    # (value, exact, pair): exact is 0 for a lower bound, 1 for a distance.
+    # At equal value bounds sort first, so once an exact entry is on top no
+    # pair left unscored can tie with it.
+    heap: list[tuple[int, int, tuple[tuple, tuple]]] = []
 
     def enqueue(k1: tuple, k2: tuple) -> None:
         pair = (k1, k2) if k1 <= k2 else (k2, k1)
-        heappush(heap, (distance(active[k1].template, active[k2].template), pair))
+        bound = distance_lower_bound(active[k1].template, active[k2].template)
+        heappush(heap, (bound, 0, pair))
 
     keys = sorted(active)
     for i, k1 in enumerate(keys):
@@ -162,14 +172,19 @@ def learn_template_tree(
         batch: list[tuple[tuple, tuple]] = []
         d_min: int | None = None
         while heap:
-            d, pair = heap[0]
+            d, exact, pair = heap[0]
             if d_min is not None and d > d_min:
                 break
             heappop(heap)
-            if pair[0] in active and pair[1] in active:
-                if d_min is None:
-                    d_min = d
-                batch.append(pair)
+            k1, k2 = pair
+            if k1 not in active or k2 not in active:
+                continue
+            if not exact:
+                heappush(heap, (distance(active[k1].template, active[k2].template), 1, pair))
+                continue
+            if d_min is None:
+                d_min = d
+            batch.append(pair)
         if not batch:
             raise AssertionError("active templates left but no valid pair queued")
 

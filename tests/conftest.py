@@ -54,6 +54,11 @@ def template(*parts) -> Template:
     return Template(tuple(elements))
 
 
+def random_template(rng, words=("a", "b", "c"), max_len=6) -> Template:
+    """Up to ``max_len`` elements drawn from ``words`` and the slot ids 0-2."""
+    return template(*rng.choices(tuple(words) + (0, 1, 2), k=rng.randint(0, max_len)))
+
+
 def run_python(code: str, stdin: str = "", **env: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this gramtree; return stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(gramtree.__file__).parents[1]), **env}

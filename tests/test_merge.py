@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from gramtree.merge import distance, merge_all, merge_templates
+from gramtree.merge import distance, distance_lower_bound, merge_all, merge_templates
 from gramtree.template import (
     Slot,
     Template,
@@ -22,7 +22,7 @@ from gramtree.template import (
     tokenize,
 )
 
-from conftest import template
+from conftest import random_template, template
 
 
 def brute_force_merge_stats(t1: Template, t2: Template):
@@ -189,6 +189,10 @@ def test_distance_matches_oracle_on_small_templates():
             assert distance(t1, t2) == brute_force_distance(t1, t2), (str(t1), str(t2))
 
 
+# The best alignment of this pair breaks the length bound.
+LENGTH_BOUND_PAIR = (template(0, 1, 1, 0, "w0", 1, 1), template("w1", 0, "w0", 0, 1, 0, 0))
+
+
 def test_merge_and_distance_match_oracle_on_random_templates():
     # Up to 6 elements from 3 words and 3 slot ids shared between both
     # sides; crossed pairs such as "hi <X>" / "<Y> hi" break the length
@@ -196,13 +200,8 @@ def test_merge_and_distance_match_oracle_on_random_templates():
     # alignments of 4 matches: the best within the bound among the leftmost
     # 64 gives 6 slots and distance 2, the best of all 5 slots and 1.
     rng = random.Random(2009)
-    parts = ("a", "b", "c", 0, 1, 2)
-    fixed = [(template(0, 1, 1, 0, "w0", 1, 1), template("w1", 0, "w0", 0, 1, 0, 0))]
-    randoms = [
-        tuple(template(*rng.choices(parts, k=rng.randint(0, 6))) for _ in range(2))
-        for _ in range(500)
-    ]
-    for t1, t2 in fixed + randoms:
+    randoms = [(random_template(rng), random_template(rng)) for _ in range(500)]
+    for t1, t2 in [LENGTH_BOUND_PAIR] + randoms:
         merged = merge_templates(t1, t2).merged
         assert (token_count(merged), slot_count(merged)) == brute_force_merge_stats(t1, t2), (
             str(t1),
@@ -229,6 +228,31 @@ def test_merge_finds_fewest_slots_among_many_longest_alignments():
         " in the <D> hall of the <E>"
     )
     assert distance(t1, t2) == 16
+
+
+def test_distance_lower_bound_is_a_symmetric_lower_bound():
+    # 0-16 elements from 1-4 words and 3 slot ids: many repeated tokens,
+    # crossed slots and length-bound fallbacks.
+    rng = random.Random(1986)
+    words = ("a", "b", "c", "d")
+    pairs = [LENGTH_BOUND_PAIR]
+    for _ in range(10_000):
+        vocabulary = words[: rng.randint(1, 4)]
+        pairs.append(tuple(random_template(rng, vocabulary, max_len=16) for _ in range(2)))
+    for t1, t2 in pairs:
+        bound = distance_lower_bound(t1, t2)
+        assert bound <= distance(t1, t2), (str(t1), str(t2))
+        assert bound == distance_lower_bound(t2, t1), (str(t1), str(t2))
+
+
+def test_distance_lower_bound_is_exact_on_sentences_one_edit_apart():
+    # LCS 3 of 4 tokens: one gap, so 4 - 3 + 1 - 0, the exact distance.
+    t1, t2 = template("the cat sat down"), template("the dog sat down")
+    assert distance_lower_bound(t1, t2) == distance(t1, t2) == 2
+    assert distance_lower_bound(t1, t1) == distance(t1, t1) == 0
+    # Slots are left out of the LCS: 3 - 2 + 1 - 0, below the distance 3.
+    t1, t2 = template("a", 0, "b"), template("a b c")
+    assert (distance_lower_bound(t1, t2), distance(t1, t2)) == (2, 3)
 
 
 def _product(words, n):
