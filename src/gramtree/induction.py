@@ -11,6 +11,8 @@ surviving root template and slot values become the grammar.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
+from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Iterator
 
@@ -202,35 +204,79 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
 
     The pair with the highest Jaccard overlap >= ratio is merged first
     (ties on slot-id order), the union kept under the lower id, and all
-    references to the removed id rewritten; overlaps are then recomputed.
-    A merge that would make the slot reference graph cyclic (and hence
-    the grammar recursive) is skipped.
+    references to the removed id rewritten. A merge that would make the
+    slot reference graph cyclic (and hence the grammar recursive) is
+    skipped.
+
+    Overlaps are scored incrementally. Qualifying pairs wait in a heap
+    stamped with both slots' versions. Above ratio 0 only slots that share
+    a value can qualify, so a slot's partners come from an index of value
+    to slots (the candidate filter of all-pairs similarity search; Bayardo,
+    Ma & Srikant, 2007); at ratio 0 every other slot is a partner. A merge
+    changes the value sets of the kept slot and of every slot whose values
+    referenced the dropped one, so only those slots get a new version and
+    only their pairs are scored again; entries with an old version are
+    skipped when popped. The merges are the ones that rescoring every pair
+    after each merge would make, in the same order.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")
     values = {uid: set(vs) for uid, vs in values.items()}
     replacement: SlotReplacement = {}
+    # value -> slots holding it; all empty sets share the key None, since
+    # two empty sets overlap fully
+    holders: defaultdict[Value | None, set[int]] = defaultdict(set)
+    # slot id -> slots whose values reference it
+    referrers: defaultdict[int, set[int]] = defaultdict(set)
+    version = dict.fromkeys(values, 0)
+    heap: list[tuple[float, int, int, int, int]] = []
+
+    def reindex(uid: int, op) -> None:
+        for key in values[uid] or (None,):
+            op(holders[key], uid)
+        for ref in _ref_edges(values[uid]):
+            op(referrers[ref], uid)
+
+    def partners(uid: int) -> set[int]:
+        if ratio == 0.0:
+            return values.keys() - {uid}
+        return {p for key in values[uid] or (None,) for p in holders[key]} - {uid}
+
+    def score(a: int, b: int) -> None:
+        if (overlap := _jaccard(values[a], values[b])) >= ratio:
+            heappush(heap, (-overlap, a, b, version[a], version[b]))
+
+    for uid in values:
+        reindex(uid, set.add)
+    groups = [values.keys()] if ratio == 0.0 else holders.values()
+    for a, b in {(a, b) for group in groups for a in group for b in group if a < b}:
+        score(a, b)
+
     while True:
-        uids = sorted(values)
-        candidates = sorted(
-            (
-                (-overlap, a, b)
-                for i, a in enumerate(uids)
-                for b in uids[i + 1 :]
-                if (overlap := _jaccard(values[a], values[b])) >= ratio
-            ),
-        )
-        chosen: tuple[int, int] | None = None
-        for _, a, b in candidates:
-            if _merge_keeps_acyclic(values, a, b):
-                chosen = (a, b)
+        # Skip entries with an old version. A pair the guard rejects is
+        # dropped for good: a merge only contracts the reference graph (the
+        # kept slot keeps its self-references), so the cycle stays.
+        while heap:
+            _, keep, drop, v_keep, v_drop = heappop(heap)
+            if (
+                version.get(keep) == v_keep
+                and version.get(drop) == v_drop
+                and _merge_keeps_acyclic(values, keep, drop)
+            ):
                 break
-        if chosen is None:
-            break
-        keep, drop = chosen
+        else:
+            return values, replacement
+        dirty = (referrers[drop] | {keep}) - {drop}
+        for uid in dirty | {drop}:
+            reindex(uid, set.discard)
         values[keep] |= values[drop]
         _retire(values, replacement, drop, keep)
-    return values, replacement
+        del version[drop]
+        for uid in dirty:
+            version[uid] += 1
+            reindex(uid, set.add)
+        for a, b in {(min(uid, p), max(uid, p)) for uid in dirty for p in partners(uid)}:
+            score(a, b)
 
 
 def simplify_slot_values(values: SlotValues) -> SlotValues:

@@ -86,14 +86,18 @@ class Template:
         Two templates are "the same shape" iff their canonical keys are
         equal; this is the equality used for dedup during learning and for
         fixpoint checks, where concrete slot ids are arbitrary.
+
+        The key is flat, ``("t", text, "s", n, ...)``: a tag before each
+        payload. It orders as the tuple of ``(tag, payload)`` pairs would,
+        and compares faster in the learners' heap ties.
         """
         order: dict[int, int] = {}
-        key: list[tuple] = []
+        key: list = []
         for e in self.elements:
             if isinstance(e, Token):
-                key.append(("t", e.text))
+                key += ("t", e.text)
             else:
-                key.append(("s", order.setdefault(e.uid, len(order))))
+                key += ("s", order.setdefault(e.uid, len(order)))
         return tuple(key)
 
 

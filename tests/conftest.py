@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,17 @@ FIG1_SENTENCES = frozenset(
 )
 
 TWO_BY_TWO = ["hello world", "hello people", "hi world", "hi people"]
+
+# The benchmark's 4-slot grammar: 10/8/10/6 values, 4,800 sentences.
+DEEP_LANGUAGE = sorted(
+    f"the a{a} b{b} went to the c{c} with d{d}"
+    for a, b, c, d in itertools.product(range(10), range(8), range(10), range(6))
+)
+
+
+def deep_corpus(n: int, seed: int = 0) -> list[str]:
+    """``n`` sentences of the 4-slot grammar, sampled as the benchmark does."""
+    return random.Random(seed).sample(DEEP_LANGUAGE, n)
 
 
 @pytest.fixture

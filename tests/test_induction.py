@@ -5,6 +5,7 @@ import pytest
 from gramtree.errors import InternalInvariantError
 from gramtree.grammar import enumerate_language, rule_count, to_tracery
 from gramtree.induction import (
+    DEFAULT_RATIO,
     collapse_tree,
     extract_slot_values,
     induce_grammar,
@@ -12,9 +13,15 @@ from gramtree.induction import (
     simplify_slot_values,
 )
 from gramtree.template import Slot, Token, slot_count
-from gramtree.tree import TemplateTreeNode, leaf_texts, tree_equal
+from gramtree.tree import (
+    TemplateTreeNode,
+    leaf_texts,
+    learn_template_tree,
+    prune_redundant_children,
+    tree_equal,
+)
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, run_python, template
+from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, run_python, template
 
 
 def leaf(text):
@@ -317,6 +324,22 @@ def test_induce_does_not_depend_on_process_state():
         "sys.stdout.write(to_tracery(induce_grammar(sys.stdin.read().splitlines())))"
     )
     assert run_python(script, stdin="\n".join(corpus)) == to_tracery(induce_grammar(corpus))
+
+
+def test_induce_does_not_depend_on_the_hash_seed():
+    # The slot merge walks sets of values and slot ids, whose order follows
+    # the string hash; its merges, and so the grammar, must not.
+    corpus = deep_corpus(30)
+    values = extract_slot_values(prune_redundant_children(learn_template_tree(corpus)))
+    assert merge_similar_slots(values, DEFAULT_RATIO)[1]
+    script = (
+        "import sys; from gramtree import induce_grammar, to_tracery; "
+        "sys.stdout.write(to_tracery(induce_grammar(sys.stdin.read().splitlines())))"
+    )
+    first, second = (
+        run_python(script, stdin="\n".join(corpus), PYTHONHASHSEED=seed) for seed in ("0", "1")
+    )
+    assert first == second
 
 
 def test_induce_covers_training_data():

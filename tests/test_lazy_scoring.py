@@ -16,7 +16,7 @@ from gramtree.merge import distance, merge_all, merge_templates, remap_new_slots
 from gramtree.template import Template, normalize_sentence, slot_ids, tokenize
 from gramtree.tree import TemplateTreeNode, learn_template_tree, tree_equal
 
-from conftest import random_template
+from conftest import deep_corpus, random_template
 
 
 def eager_learn(texts) -> TemplateTreeNode:
@@ -112,11 +112,7 @@ def test_lazy_merge_all_matches_the_eager_reference():
 def test_learning_computes_few_exact_distances(monkeypatch):
     # 60 sentences of the benchmark's 4-slot grammar. Eager scoring needs
     # more than n(n-1)/2 = 1,770 exact distances; lazy scoring about 500.
-    language = sorted(
-        f"the a{a} b{b} went to the c{c} with d{d}"
-        for a, b, c, d in itertools.product(range(10), range(8), range(10), range(6))
-    )
-    corpus = random.Random(0).sample(language, 60)
+    corpus = deep_corpus(60)
     calls = 0
 
     def counted(t1, t2):

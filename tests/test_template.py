@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gramtree.template import (
@@ -13,7 +15,7 @@ from gramtree.template import (
     tokenize,
 )
 
-from conftest import run_python, template
+from conftest import random_template, run_python, template
 
 
 def test_tokenize_splits_on_whitespace():
@@ -94,6 +96,23 @@ def test_canonical_key_ignores_slot_ids():
     assert template("a", 5).canonical_key != template("b", 5).canonical_key
     # repeated slots keep their sharing pattern
     assert template(3, "x", 3).canonical_key != template(3, "x", 4).canonical_key
+
+
+def test_canonical_key_orders_as_the_nested_pair_key():
+    # The flat key must sort and compare as the tuple of (tag, payload) pairs.
+    def nested_key(t):
+        order = {}
+        return tuple(
+            ("t", e.text) if isinstance(e, Token) else ("s", order.setdefault(e.uid, len(order)))
+            for e in t.elements
+        )
+
+    rng = random.Random(83)
+    templates = [random_template(rng, words=("a", "s", "t", "u"), max_len=8) for _ in range(3000)]
+    flat = sorted(templates, key=lambda t: t.canonical_key)
+    assert flat == sorted(templates, key=nested_key)
+    for t, u in zip(flat, flat[1:]):
+        assert (t.canonical_key == u.canonical_key) == (nested_key(t) == nested_key(u))
 
 
 def test_token_validation():
