@@ -113,15 +113,12 @@ def _align_child(parent: Template, child: Template) -> list[tuple[int, Value]]:
                 if c[ci] == e and below[ci + 1] >= 0:
                     row[ci] = below[ci + 1]
         else:
+            # An empty run scores below[ci]; a non-empty one 1 + the best
+            # below[k] for k > ci, kept as a running maximum.
+            after = NEG
             for ci in range(nc, -1, -1):
-                top = NEG
-                for length in range(0, nc - ci + 1):
-                    rest = below[ci + length]
-                    if rest >= 0:
-                        score = rest + (1 if length else 0)
-                        if score > top:
-                            top = score
-                row[ci] = top
+                row[ci] = max(below[ci], after + 1 if after >= 0 else NEG)
+                after = max(after, below[ci])
     if best[0][0] < 0:
         raise InternalInvariantError(
             f"child {format_template(child)!r} is not derivable from "
@@ -340,8 +337,6 @@ def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement]:
 
         # A slot whose only value is another slot is an alias.
         for uid in sorted(values):
-            if uid not in values:
-                continue
             if len(values[uid]) == 1:
                 ref = _slot_ref(next(iter(values[uid])))
                 if ref is not None and ref != uid and ref in values:
@@ -463,7 +458,7 @@ def _is_instantiation(parent: Template, child: Template, values: SlotValues) -> 
             if ci < len(c) and c[ci] == e and match(pi + 1, ci + 1):
                 ok = True  # slot kept verbatim
             if not ok:
-                for value in sorted(values.get(e.uid, ()), key=value_key):
+                for value in values.get(e.uid, ()):
                     if c[ci : ci + len(value)] == value and match(pi + 1, ci + len(value)):
                         ok = True
                         break

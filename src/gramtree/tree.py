@@ -14,6 +14,7 @@ unscored. Most queued pairs never get an exact distance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
@@ -220,8 +221,9 @@ def learn_template_tree(
 def prune_redundant_children(node: TemplateTreeNode) -> TemplateTreeNode:
     """Drop children whose descendant leaves are all covered by their siblings.
 
-    Children are examined in ascending number of descendant leaves (least
-    general first), top-down, until nothing changes.
+    Children are examined once each, in ascending number of descendant
+    leaves (least general first), top-down. A child kept when examined stays
+    uncovered, since later removals only shrink its siblings' union.
     """
     root = copy_tree(node)
     _prune(root)
@@ -229,61 +231,49 @@ def prune_redundant_children(node: TemplateTreeNode) -> TemplateTreeNode:
 
 
 def _prune(node: TemplateTreeNode) -> None:
-    while True:
-        changed = False
-        indexed = sorted(enumerate(node.children), key=lambda ic: (len(leaf_texts(ic[1])), ic[0]))
-        for _, child in indexed:
-            if child not in node.children:
-                continue
-            others = [c for c in node.children if c is not child]
-            if not others:
-                continue
-            covered = frozenset().union(*(leaf_texts(c) for c in others))
-            if leaf_texts(child) <= covered:
-                node.children.remove(child)
-                changed = True
-        if not changed:
-            break
+    leaves = [leaf_texts(c) for c in node.children]
+    # leaf text -> number of remaining children that reach it
+    reach = Counter(text for texts in leaves for text in texts)
+    dropped: set[int] = set()
+    for i in sorted(range(len(leaves)), key=lambda i: (len(leaves[i]), i)):
+        if len(leaves) - len(dropped) > 1 and all(reach[t] > 1 for t in leaves[i]):
+            dropped.add(i)
+            reach.subtract(leaves[i])
+    node.children = [c for i, c in enumerate(node.children) if i not in dropped]
     for child in node.children:
         _prune(child)
 
 
 def limit_height(root: TemplateTreeNode, max_height: int) -> TemplateTreeNode:
-    """Contract deepest internal nodes until the tree height fits.
+    """Cut the tree to height ``max_height`` in one pass.
 
-    The deepest (then leftmost) internal non-root node is replaced by its
-    children, in place, until height(root) <= max_height. Leaves are never
-    touched, so the leaf set is preserved.
+    Every internal node at depth ``max_height - 1`` gets the leaves of its
+    subtree, left to right, as its children; nothing above that depth
+    changes. This is the tree that repeatedly contracting the deepest, then
+    leftmost, internal non-root node until the height fits gives: while the
+    tree is too tall the deepest internal node lies at depth >= max_height,
+    every internal node at depth >= max_height has a leaf below depth
+    max_height and so is contracted before the height fits, and it is
+    contracted before its ancestors, at its original depth. Leaves are
+    never touched, so the leaf set is preserved. The input is not modified.
     """
     if max_height < 1:
         raise ValueError(f"max_height must be >= 1, got {max_height}")
     root = copy_tree(root)
-    while tree_height(root) > max_height:
-        parent, target = _deepest_internal(root)
-        idx = parent.children.index(target)
-        parent.children[idx : idx + 1] = target.children
+    level = [root]
+    for _ in range(max_height - 1):
+        level = [c for node in level for c in node.children]
+    for node in level:
+        node.children = _leaves_below(node)
     return root
 
 
-def _deepest_internal(
-    root: TemplateTreeNode,
-) -> tuple[TemplateTreeNode, TemplateTreeNode]:
-    """The deepest, leftmost internal non-root node and its parent."""
-    best: tuple[int, int, TemplateTreeNode, TemplateTreeNode] | None = None
-    counter = count()
-
-    def walk(node: TemplateTreeNode, depth: int) -> None:
-        nonlocal best
-        for child in node.children:
-            if child.is_leaf:
-                continue
-            order = next(counter)
-            key = (-(depth + 1), order)
-            if best is None or key < (best[0], best[1]):
-                best = (key[0], key[1], node, child)
-            walk(child, depth + 1)
-
-    walk(root, 0)
-    if best is None:
-        raise AssertionError("no contractible internal node in an over-tall tree")
-    return best[2], best[3]
+def _leaves_below(node: TemplateTreeNode) -> list[TemplateTreeNode]:
+    """The leaves of ``node``'s subtree, left to right; none for a leaf."""
+    found, stack = [], node.children[::-1]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            found.append(node)
+        stack.extend(reversed(node.children))
+    return found

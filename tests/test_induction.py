@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 
@@ -6,13 +7,14 @@ from gramtree.errors import InternalInvariantError
 from gramtree.grammar import enumerate_language, rule_count, to_tracery
 from gramtree.induction import (
     DEFAULT_RATIO,
+    _align_child,
     collapse_tree,
     extract_slot_values,
     induce_grammar,
     merge_similar_slots,
     simplify_slot_values,
 )
-from gramtree.template import Slot, Token, slot_count
+from gramtree.template import Slot, Template, Token, format_template, slot_count
 from gramtree.tree import (
     TemplateTreeNode,
     leaf_texts,
@@ -21,7 +23,7 @@ from gramtree.tree import (
     tree_equal,
 )
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, run_python, template
+from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, random_template, run_python, template
 
 
 def leaf(text):
@@ -102,6 +104,70 @@ def test_extract_raises_on_non_derivable_child():
     broken = TemplateTreeNode(template("a", 0, "b"), [leaf("a x c")])
     with pytest.raises(InternalInvariantError):
         extract_slot_values(broken)
+
+
+def align_all_lengths(parent: Template, child: Template):
+    """Reference ``_align_child`` that tries every run length in each slot row."""
+    p, c = parent.elements, child.elements
+    np_, nc = len(p), len(c)
+    best = [[-1] * (nc + 1) for _ in range(np_ + 1)]
+    best[np_][nc] = 0
+    for pi in range(np_ - 1, -1, -1):
+        e, row, below = p[pi], best[pi], best[pi + 1]
+        for ci in range(nc, -1, -1):
+            if isinstance(e, Token):
+                if ci < nc and c[ci] == e:
+                    row[ci] = below[ci + 1]
+                continue
+            for length in range(0, nc - ci + 1):
+                if below[ci + length] >= 0:
+                    row[ci] = max(row[ci], below[ci + length] + (1 if length else 0))
+    if best[0][0] < 0:
+        raise InternalInvariantError("not derivable")
+    assignments = []
+    pi = ci = 0
+    while pi < np_:
+        e = p[pi]
+        if isinstance(e, Token):
+            pi, ci = pi + 1, ci + 1
+            continue
+        for length in range(nc - ci, -1, -1):
+            rest = best[pi + 1][ci + length]
+            if rest >= 0 and rest + (1 if length else 0) == best[pi][ci]:
+                assignments.append((e.uid, tuple(c[ci : ci + length])))
+                ci += length
+                break
+        pi += 1
+    return assignments
+
+
+def test_align_child_matches_the_all_lengths_reference():
+    rng = random.Random(2009)
+    derivable = 0
+    for _ in range(3000):
+        words = ("a", "b", "c")[: rng.randint(1, 3)]
+        parent = random_template(rng, words, max_len=7)
+        if rng.random() < 0.7:
+            # fill each slot with a short run, or keep it
+            parts = []
+            for e in parent.elements:
+                if isinstance(e, Token):
+                    parts.append(e)
+                else:
+                    parts.extend(random_template(rng, words, max_len=3).elements)
+            child = Template(tuple(parts))
+        else:
+            child = random_template(rng, words, max_len=9)
+        case = f"{format_template(parent)!r} / {format_template(child)!r}"
+        try:
+            expected = align_all_lengths(parent, child)
+        except InternalInvariantError:
+            with pytest.raises(InternalInvariantError):
+                _align_child(parent, child)
+            continue
+        assert _align_child(parent, child) == expected, case
+        derivable += 1
+    assert 1500 < derivable < 3000
 
 
 def test_merge_identical_value_sets():

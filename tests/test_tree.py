@@ -1,17 +1,23 @@
+import random
+from itertools import count
+
 import pytest
 
+import gramtree.tree
 from gramtree.template import slot_count
 from gramtree.tree import (
     TemplateTreeNode,
+    copy_tree,
     format_tree,
     leaf_texts,
     learn_template_tree,
     limit_height,
     prune_redundant_children,
+    tree_equal,
     tree_height,
 )
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, template
+from conftest import TWO_BY_TWO, FIG1_SENTENCES, random_template, template
 
 
 def leaf(text: str) -> TemplateTreeNode:
@@ -169,3 +175,131 @@ def test_format_tree_marks_leaves():
     assert lines[0].startswith("a <")
     assert lines[1].startswith("  ") and lines[1].endswith("*")
     assert len(lines) == 3
+
+
+# Reference copies of the earlier rescanning loops: contract the deepest,
+# then leftmost, internal node until the height fits, and prune to a
+# fixpoint. The one-pass versions must build the same trees.
+
+
+def contract_until_it_fits(root: TemplateTreeNode, max_height: int) -> TemplateTreeNode:
+    root = copy_tree(root)
+    while tree_height(root) > max_height:
+        parent, target = deepest_internal(root)
+        idx = parent.children.index(target)
+        parent.children[idx : idx + 1] = target.children
+    return root
+
+
+def deepest_internal(root: TemplateTreeNode) -> tuple[TemplateTreeNode, TemplateTreeNode]:
+    best = None
+    counter = count()
+
+    def walk(node, depth):
+        nonlocal best
+        for child in node.children:
+            if child.is_leaf:
+                continue
+            key = (-(depth + 1), next(counter))
+            if best is None or key < best[0]:
+                best = (key, node, child)
+            walk(child, depth + 1)
+
+    walk(root, 0)
+    return best[1], best[2]
+
+
+def prune_to_fixpoint(node: TemplateTreeNode) -> TemplateTreeNode:
+    root = copy_tree(node)
+
+    def prune(node):
+        while True:
+            changed = False
+            indexed = sorted(
+                enumerate(node.children), key=lambda ic: (len(leaf_texts(ic[1])), ic[0])
+            )
+            for _, child in indexed:
+                if child not in node.children:
+                    continue
+                others = [c for c in node.children if c is not child]
+                if not others:
+                    continue
+                if leaf_texts(child) <= frozenset().union(*(leaf_texts(c) for c in others)):
+                    node.children.remove(child)
+                    changed = True
+            if not changed:
+                break
+        for child in node.children:
+            prune(child)
+
+    prune(root)
+    return root
+
+
+def random_tree(rng: random.Random, height: int, texts: list, tall=True) -> TemplateTreeNode:
+    """A random tree with leaf texts from ``texts``, of height ``height`` if ``tall``."""
+    if height == 0 or (not tall and rng.random() < 0.4):
+        text = rng.choice(texts)
+        return TemplateTreeNode(template(text or ""), leaf_text=text)
+    width = rng.randint(1, 3)
+    spine = rng.randrange(width)
+    children = [random_tree(rng, height - 1, texts, i == spine) for i in range(width)]
+    return TemplateTreeNode(random_template(rng), children)
+
+
+def random_trees(seed: int, n: int):
+    rng = random.Random(seed)
+    for k in range(n):
+        # Half the trees draw from a few leaf texts, so that siblings cover
+        # each other; the others mostly have distinct texts. A leaf without
+        # text reaches no sentence.
+        pool = 4 if k % 2 else 200
+        texts = [f"w{i}" for i in range(pool)] + [None]
+        yield random_tree(rng, rng.randint(0, 9), texts)
+
+
+def test_limit_height_matches_contracting_until_it_fits():
+    contracted = 0
+    for tree in random_trees(2009, 200):
+        for max_height in range(1, 9):
+            expected = contract_until_it_fits(tree, max_height)
+            limited = limit_height(tree, max_height)
+            assert tree_equal(limited, expected), format_tree(tree)
+            assert tree_height(limited) <= max_height
+            contracted += tree_height(tree) > max_height
+    assert contracted > 500
+
+
+def test_limit_height_leaves_its_input_alone():
+    tree = next(random_trees(7, 1))
+    before = copy_tree(tree)
+    limit_height(tree, 1)
+    assert tree_equal(tree, before)
+
+
+def test_prune_matches_the_fixpoint_reference():
+    removed = 0
+    for tree in random_trees(4036, 400):
+        expected = prune_to_fixpoint(tree)
+        pruned = prune_redundant_children(tree)
+        assert tree_equal(pruned, expected), format_tree(tree)
+        assert leaf_texts(pruned) == leaf_texts(tree)
+        removed += not tree_equal(pruned, tree)
+    assert removed > 100
+
+
+def test_prune_computes_each_leaf_set_once(monkeypatch):
+    # A root over 60 distinct leaves: one leaf set per child. Rescanning
+    # the siblings for every child takes 60 + 60 * 60 = 3,660 calls.
+    calls = 0
+
+    def counted(node):
+        nonlocal calls
+        calls += 1
+        return leaf_texts(node)
+
+    monkeypatch.setattr(gramtree.tree, "leaf_texts", counted)
+    root = TemplateTreeNode(template(0), [leaf(f"w{i}") for i in range(60)])
+    pruned = prune_redundant_children(root)
+    assert len(pruned.children) == 60
+    assert calls <= 120
