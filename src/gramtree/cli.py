@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_corpus(path: Path) -> list[str]:
     lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-    return [line for line in lines if line]
+    corpus = [line for line in lines if line]
+    if not corpus:
+        raise ValueError("corpus is empty")
+    return corpus
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,9 +99,6 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "induce":
         corpus = _read_corpus(args.corpus)
-        if not corpus:
-            print("gramtree: corpus is empty", file=sys.stderr)
-            return EXIT_USAGE
         grammar = induce_grammar(corpus, ratio=args.ratio, max_height=args.max_height)
         text = to_tracery(grammar)
         if args.out is None:
@@ -109,9 +109,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "tree":
         corpus = _read_corpus(args.corpus)
-        if not corpus:
-            print("gramtree: corpus is empty", file=sys.stderr)
-            return EXIT_USAGE
         root = learn_template_tree(corpus, max_height=args.max_height)
         print(format_tree(root, ascii_slots=args.ascii))
         return EXIT_OK

@@ -284,7 +284,7 @@ def simplify_slot_values(values: SlotValues) -> SlotValues:
     slot are dropped, and a slot whose value set is exactly ``{[<k>]}``
     is replaced by ``k`` everywhere.
     """
-    simplified, _ = _simplify(values)
+    simplified, _, _ = _simplify(values)
     return simplified
 
 
@@ -294,10 +294,11 @@ def _slot_ref(value: Value) -> int | None:
     return None
 
 
-def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement]:
+def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement, bool]:
+    """``simplify_slot_values``, plus the aliases retired and whether anything changed."""
     values = {uid: set(vs) for uid, vs in values.items()}
     replacement: SlotReplacement = {}
-    while True:
+    for rounds in count():
         changed = False
 
         # Self-references never contribute; an emptied set degrades to ε.
@@ -344,7 +345,7 @@ def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement]:
                     changed = True
 
         if not changed:
-            return values, replacement
+            return values, replacement, rounds > 0
 
 
 def _slot_fixpoint(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
@@ -359,17 +360,13 @@ def _slot_fixpoint(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotRe
                 combined[old] = target
 
     for _ in range(MAX_PASSES):
-        before = {uid: frozenset(vs) for uid, vs in values.items()}
+        # merge_similar_slots changes values only by merging, and each merge
+        # enters the replacement.
         values, merged_repl = merge_similar_slots(values, ratio)
         fold(merged_repl)
-        values, simplified_repl = _simplify(values)
+        values, simplified_repl, simplified = _simplify(values)
         fold(simplified_repl)
-        unchanged = (
-            not merged_repl
-            and not simplified_repl
-            and before == {uid: frozenset(vs) for uid, vs in values.items()}
-        )
-        if unchanged:
+        if not merged_repl and not simplified:
             return values, combined
     raise InternalInvariantError("slot merge/simplify fixpoint did not converge")
 
@@ -385,12 +382,12 @@ def collapse_tree(
 ) -> TemplateTreeNode:
     """Simplify the tree with known slot values until it stops changing.
 
-    Each iteration (1) applies the slot replacement to every template,
-    (2) deletes any child whose template is the parent's with some other
-    slots filled by known values, attaching its children to the parent,
-    and (3) recalculates every template bottom-up as the closest-pair
-    merge of its children's templates (kept verbatim when the result is
-    structurally unchanged).
+    Each iteration is one walk of the tree. It applies the slot replacement
+    to every template, deletes any child whose template is the parent's
+    with some other slots filled by known values, attaching its children to
+    the parent, and recalculates every template bottom-up as the
+    closest-pair merge of its children's templates (kept verbatim when the
+    result is structurally unchanged).
 
     Raises:
         InternalInvariantError: no fixpoint within ``MAX_PASSES`` iterations.
@@ -401,37 +398,52 @@ def collapse_tree(
     ]
     fresh = count(max([max_slot_id(root)] + value_ids, default=-1) + 1)
     for _ in range(MAX_PASSES):
-        changed = _apply_replacement(root, replacement)
-        changed |= _collapse_pass(root, values)
-        changed |= _recalculate(root, fresh)
+        changed = _replace_template(root, replacement)
+        changed |= _collapse_pass(root, values, replacement, fresh)
         if not changed:
             return root
     raise InternalInvariantError("collapse did not reach a fixpoint")
 
 
-def _apply_replacement(node: TemplateTreeNode, replacement: SlotReplacement) -> bool:
-    changed = False
-    rewritten = Template(tuple(_rewrite_value(node.template.elements, replacement)))
-    if rewritten != node.template:
-        node.template = rewritten
-        changed = True
-    for child in node.children:
-        changed |= _apply_replacement(child, replacement)
-    return changed
+def _replace_template(node: TemplateTreeNode, replacement: SlotReplacement) -> bool:
+    rewritten = Template(_rewrite_value(node.template.elements, replacement))
+    if rewritten == node.template:
+        return False
+    node.template = rewritten
+    return True
 
 
-def _collapse_pass(node: TemplateTreeNode, values: SlotValues) -> bool:
+def _collapse_pass(
+    node: TemplateTreeNode,
+    values: SlotValues,
+    replacement: SlotReplacement,
+    fresh: Iterator[int],
+) -> bool:
+    """One collapse pass below ``node``, whose template is already replaced.
+
+    A child's template is replaced as the child is examined, so children
+    spliced up from a collapsed child are replaced too. The collapse checks
+    read templates from before recalculation; ``node`` is recalculated last,
+    from its children's final templates.
+    """
     changed = False
     i = 0
     while i < len(node.children):
         child = node.children[i]
+        changed |= _replace_template(child, replacement)
         if not child.is_leaf and _is_instantiation(node.template, child.template, values):
             node.children[i : i + 1] = child.children
             changed = True
             continue
         i += 1
     for child in node.children:
-        changed |= _collapse_pass(child, values)
+        changed |= _collapse_pass(child, values, replacement, fresh)
+    if not node.is_leaf:
+        child_templates = tuple(c.template for c in node.children)
+        candidate = merge_all(child_templates)
+        if candidate.canonical_key != node.template.canonical_key:
+            node.template = remap_new_slots(candidate, child_templates, fresh)
+            changed = True
     return changed
 
 
@@ -467,19 +479,6 @@ def _is_instantiation(parent: Template, child: Template, values: SlotValues) -> 
         return ok
 
     return match(0, 0)
-
-
-def _recalculate(node: TemplateTreeNode, fresh: Iterator[int]) -> bool:
-    changed = False
-    for child in node.children:
-        changed |= _recalculate(child, fresh)
-    if not node.is_leaf:
-        child_templates = tuple(c.template for c in node.children)
-        candidate = merge_all(child_templates)
-        if candidate.canonical_key != node.template.canonical_key:
-            node.template = remap_new_slots(candidate, child_templates, fresh)
-            changed = True
-    return changed
 
 
 # ---------------------------------------------------------------------------

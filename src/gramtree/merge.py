@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .template import (
     Element,
@@ -32,6 +32,7 @@ from .template import (
 Coverage = dict[int, tuple[Element, ...]]
 Pairs = tuple[tuple[int, int], ...]
 Keys = tuple[str | None, ...]
+Score = Callable[[int, int, int], int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +155,7 @@ def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
     The length bound on merges is not applied here.
     """
     n, m = len(ka), len(kb)
-    w2 = n + m + 2
-    w1 = (2 * (n + m) + 2) * w2
-    gap = w2 + 1
-    values = [w1 - 2 * w2 - 1 if x is None else w1 for x in ka]
+    _, gap, values = _weights(ka, m)
 
     # f[i][j]: best score of aligning ka[i:] with kb[j:] at the start or just
     # after a match. g_row[j] holds the same score inside a gap, whose cost
@@ -183,25 +181,42 @@ def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
             g_row[j] = carry = in_gap
         g_next = g_row
 
-    # Walk forward taking, at every step, the first match in lexicographic
-    # order that still completes a best alignment: the next pair, else the
-    # first one past a gap.
+    return _forward_walk(ka, kb, values, gap, lambda i, j, r: f[i][j], room=0)
+
+
+def _weights(ka: Keys, m: int) -> tuple[int, int, list[int]]:
+    """The score weights of ``_best_alignment``: ``w1``, ``gap`` and each key's match value."""
+    w2 = len(ka) + m + 2
+    w1 = (2 * (len(ka) + m) + 2) * w2
+    return w1, w2 + 1, [w1 - 2 * w2 - 1 if x is None else w1 for x in ka]
+
+
+def _forward_walk(ka: Keys, kb: Keys, values: list[int], gap: int, score: Score, room: int) -> Pairs:
+    """The leftmost best alignment, read forward off a filled score table.
+
+    ``score(i, j, r)`` is the best score of aligning ``ka[i:]`` with
+    ``kb[j:]`` in at most ``r`` merge elements (a match uses one, a gap one
+    more); it is positive iff a match remains. Every step takes the first
+    match in lexicographic order that still completes a best alignment: the
+    next pair, else the first one past a gap.
+    """
     positions: dict[str | None, list[int]] = {}
     for q, y in enumerate(kb):
         positions.setdefault(y, []).append(q)
     pairs: list[tuple[int, int]] = []
     i = j = 0
-    for _ in range(-(-f[0][0] // w1)):  # the matches of every best alignment
-        if ka[i] == kb[j] and values[i] + f[i + 1][j + 1] == f[i][j]:
-            p, q = i, j
+    r = room
+    while (want := score(i, j, r)) > 0:
+        if ka[i] == kb[j] and values[i] + score(i + 1, j + 1, r - 1) == want:
+            p, q, r = i, j, r - 1
         else:
-            want = f[i][j] + gap
             p, q = next(
                 (p, q)
-                for p in range(i, n)
+                for p in range(i, len(ka))
                 for q in positions.get(ka[p], ())
-                if q >= j and values[p] + f[p + 1][q + 1] == want
+                if q >= j and values[p] + score(p + 1, q + 1, r - 2) == want + gap
             )
+            r -= 2
         pairs.append((p, q))
         i, j = p + 1, q + 1
     return tuple(pairs)
@@ -237,10 +252,7 @@ def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
     """
     n, m = len(ka), len(kb)
     room = max(n, m)
-    w2 = n + m + 2
-    w1 = (2 * (n + m) + 2) * w2
-    gap = w2 + 1
-    values = [w1 - 2 * w2 - 1 if x is None else w1 for x in ka]
+    w1, gap, values = _weights(ka, m)
 
     def front(options: list[tuple[int, int]], floor: int) -> list[tuple[int, int]]:
         # Every path reaches the cell with at least ``floor`` elements left,
@@ -283,25 +295,7 @@ def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
         # The best score within ``r`` elements, or one below every real score.
         return -min((loss for used, loss in f[i][j] if used <= r), default=(n + m + 2) * w1)
 
-    # The forward walk of _best_alignment, spending the budget as it goes.
-    pairs: list[tuple[int, int]] = []
-    i = j = 0
-    r = room
-    for _ in range(-(-score(0, 0, r) // w1)):
-        want = score(i, j, r)
-        if ka[i] == kb[j] and values[i] + score(i + 1, j + 1, r - 1) == want:
-            p, q, r = i, j, r - 1
-        else:
-            p, q = next(
-                (p, q)
-                for p in range(i, n)
-                for q in range(j, m)
-                if ka[p] == kb[q] and values[p] + score(p + 1, q + 1, r - 2) == want + gap
-            )
-            r -= 2
-        pairs.append((p, q))
-        i, j = p + 1, q + 1
-    core = tuple(pairs)
+    core = _forward_walk(ka, kb, values, gap, score, room)
     return core, _gap_count(core, n, m)
 
 

@@ -68,6 +68,11 @@ class Template:
         return tuple(e.text if isinstance(e, Token) else None for e in self.elements)
 
     @cached_property
+    def slot_count(self) -> int:
+        """Number of slot elements; distance bounds read it on every pair."""
+        return self.match_keys.count(None)
+
+    @cached_property
     def token_masks(self) -> dict[str, int]:
         """Per token text, the bit set of its positions among the tokens.
 
@@ -134,12 +139,12 @@ def render(template: Template, assignment: Mapping[int, Sequence[Token]]) -> str
 
 def token_count(template: Template) -> int:
     """Number of token (non-slot) elements."""
-    return len(template) - slot_count(template)
+    return len(template) - template.slot_count
 
 
 def slot_count(template: Template) -> int:
     """Number of slot elements."""
-    return template.match_keys.count(None)
+    return template.slot_count
 
 
 def slot_ids(template: Template) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from itertools import count
 from typing import Iterable
 
 from .merge import distance, distance_lower_bound, merge_templates, remap_new_slots
-from .template import Template, format_template, normalize_sentence, slot_ids, tokenize
+from .template import Template, Token, format_template, normalize_sentence, slot_ids, tokenize
 
 
 @dataclass(eq=False)
@@ -78,28 +78,24 @@ def tree_equal_up_to_slot_ids(a: TemplateTreeNode, b: TemplateTreeNode) -> bool:
     Recalculation mints fresh ids for unchanged shapes; this is the
     equality that detects such a fixpoint.
     """
-    forward: dict[int, int] = {}
-    backward: dict[int, int] = {}
+    return _shape_key(a) == _shape_key(b)
 
-    def walk(x: TemplateTreeNode, y: TemplateTreeNode) -> bool:
-        if x.leaf_text != y.leaf_text or len(x.children) != len(y.children):
-            return False
-        if len(x.template) != len(y.template):
-            return False
-        for p, q in zip(x.template.elements, y.template.elements):
-            if type(p) is not type(q):
-                return False
-            if hasattr(p, "text"):
-                if p.text != q.text:
-                    return False
-            else:
-                if forward.setdefault(p.uid, q.uid) != q.uid:
-                    return False
-                if backward.setdefault(q.uid, p.uid) != p.uid:
-                    return False
-        return all(walk(cx, cy) for cx, cy in zip(x.children, y.children))
 
-    return walk(a, b)
+def _shape_key(tree: TemplateTreeNode) -> list:
+    """Pre-order ``(leaf_text, child count)`` per node, then its elements:
+    token texts, and slot ids numbered by first occurrence in the tree."""
+    order: dict[int, int] = {}
+    key: list = []
+
+    def walk(node: TemplateTreeNode) -> None:
+        key.append((node.leaf_text, len(node.children)))
+        for e in node.template.elements:
+            key.append(e.text if isinstance(e, Token) else order.setdefault(e.uid, len(order)))
+        for child in node.children:
+            walk(child)
+
+    walk(tree)
+    return key
 
 
 def max_slot_id(node: TemplateTreeNode) -> int:

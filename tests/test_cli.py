@@ -45,6 +45,13 @@ def test_induce_empty_corpus_is_usage_error(tmp_path, capsys):
     assert main(["induce", str(empty)]) == 1
 
 
+def test_tree_empty_corpus_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n", encoding="utf-8")
+    assert main(["tree", str(empty)]) == 1
+    assert capsys.readouterr().err == "gramtree: corpus is empty\n"
+
+
 def test_tree_command(corpus, capsys):
     assert main(["tree", str(corpus), "--ascii"]) == 0
     out = capsys.readouterr().out

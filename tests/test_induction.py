@@ -418,3 +418,29 @@ def test_induce_covers_training_data():
 def test_induce_ratio_validation():
     with pytest.raises(ValueError):
         induce_grammar(["a"], ratio=1.5)
+
+
+# Eight sentences over two words. Collapse closes a slot cycle that the slot
+# merge's acyclicity guard cannot see (ROADMAP item 2); at ratio 0, and with
+# any height cap from 1 to 3, the grammar comes out non-recursive.
+RECURSIVE_CORPUS = [
+    "w0 w0 w0",
+    "w0 w0 w0 w0 w1 w1",
+    "w0 w0 w0 w0",
+    "w0 w0 w0 w1 w1 w0 w1",
+    "w0 w1",
+    "w0 w1 w0 w0 w1 w1",
+    "w1",
+    "w1 w0 w0 w0 w0 w0",
+]
+
+
+@pytest.mark.xfail(
+    raises=InternalInvariantError,
+    strict=True,
+    reason="known defect: induced grammar is recursive: B -> C -> B",
+)
+@pytest.mark.parametrize("ratio", [0.5, 1.0])
+def test_known_defect_recursive_grammar_on_a_small_corpus(ratio):
+    grammar = induce_grammar(RECURSIVE_CORPUS, ratio=ratio)
+    assert frozenset(RECURSIVE_CORPUS) <= enumerate_language(grammar).sentences
