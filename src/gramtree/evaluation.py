@@ -40,6 +40,10 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        if not 0.0 <= self.ratio <= 1.0:
+            raise ValueError("ratio must be within [0, 1]")
+        if self.max_height is not None and self.max_height < 1:
+            raise ValueError("max_height must be >= 1")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be a non-empty list of positive sizes")
 

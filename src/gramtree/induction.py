@@ -349,24 +349,20 @@ def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement, bool]:
 
 
 def _slot_fixpoint(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
-    """Alternate merge_similar_slots and simplification to a joint fixpoint."""
+    """Alternate merge_similar_slots and simplification to a joint fixpoint.
+
+    Returns the values and a closed replacement: no target is also a key.
+    """
     combined: SlotReplacement = {}
-
-    def fold(new: SlotReplacement) -> None:
-        for old, target in list(combined.items()):
-            combined[old] = new.get(target, target)
-        for old, target in new.items():
-            if old not in combined:
-                combined[old] = target
-
     for _ in range(MAX_PASSES):
-        # merge_similar_slots changes values only by merging, and each merge
-        # enters the replacement.
-        values, merged_repl = merge_similar_slots(values, ratio)
-        fold(merged_repl)
-        values, simplified_repl, simplified = _simplify(values)
-        fold(simplified_repl)
-        if not merged_repl and not simplified:
+        values, merged = merge_similar_slots(values, ratio)
+        values, aliases, simplified = _simplify(values)
+        # A step retires only live slots, never a key of ``combined``.
+        for step in (merged, aliases):
+            combined = {old: step.get(target, target) for old, target in combined.items()} | step
+        # A merge pass leaves nothing for a second one to merge, so only a
+        # change by simplification calls for another round.
+        if not simplified:
             return values, combined
     raise InternalInvariantError("slot merge/simplify fixpoint did not converge")
 
@@ -380,71 +376,65 @@ def collapse_tree(
     values: SlotValues,
     replacement: SlotReplacement,
 ) -> TemplateTreeNode:
-    """Simplify the tree with known slot values until it stops changing.
+    """Simplify the tree with known slot values in one walk.
 
-    Each iteration is one walk of the tree. It applies the slot replacement
-    to every template, deletes any child whose template is the parent's
-    with some other slots filled by known values, attaching its children to
-    the parent, and recalculates every template bottom-up as the
-    closest-pair merge of its children's templates (kept verbatim when the
-    result is structurally unchanged).
+    The walk applies the slot replacement to every template, deletes any
+    child whose template is the parent's with some other slots filled by
+    known values, attaching its children to the parent, and recalculates
+    every template bottom-up as the closest-pair merge of its children's
+    templates (kept verbatim when the result is structurally unchanged).
+    The replacement must be closed, so applying it once is final; the
+    induction loop, not collapse, repeats until the tree stops changing.
 
     Raises:
-        InternalInvariantError: no fixpoint within ``MAX_PASSES`` iterations.
+        ValueError: a replacement target is also a replaced slot.
     """
+    if not replacement.keys().isdisjoint(replacement.values()):
+        raise ValueError(f"slot replacement is not closed: {replacement}")
     root = copy_tree(tree)
     value_ids = [uid for uid in values] + [
         e.uid for vs in values.values() for v in vs for e in v if isinstance(e, Slot)
     ]
     fresh = count(max([max_slot_id(root)] + value_ids, default=-1) + 1)
-    for _ in range(MAX_PASSES):
-        changed = _replace_template(root, replacement)
-        changed |= _collapse_pass(root, values, replacement, fresh)
-        if not changed:
-            return root
-    raise InternalInvariantError("collapse did not reach a fixpoint")
+    _replace_template(root, replacement)
+    _collapse(root, values, replacement, fresh)
+    return root
 
 
-def _replace_template(node: TemplateTreeNode, replacement: SlotReplacement) -> bool:
+def _replace_template(node: TemplateTreeNode, replacement: SlotReplacement) -> None:
     rewritten = Template(_rewrite_value(node.template.elements, replacement))
-    if rewritten == node.template:
-        return False
-    node.template = rewritten
-    return True
+    if rewritten != node.template:
+        node.template = rewritten
 
 
-def _collapse_pass(
+def _collapse(
     node: TemplateTreeNode,
     values: SlotValues,
     replacement: SlotReplacement,
     fresh: Iterator[int],
-) -> bool:
-    """One collapse pass below ``node``, whose template is already replaced.
+) -> None:
+    """Collapse below ``node``, whose template is already replaced.
 
     A child's template is replaced as the child is examined, so children
     spliced up from a collapsed child are replaced too. The collapse checks
     read templates from before recalculation; ``node`` is recalculated last,
     from its children's final templates.
     """
-    changed = False
     i = 0
     while i < len(node.children):
         child = node.children[i]
-        changed |= _replace_template(child, replacement)
+        _replace_template(child, replacement)
         if not child.is_leaf and _is_instantiation(node.template, child.template, values):
             node.children[i : i + 1] = child.children
-            changed = True
             continue
         i += 1
     for child in node.children:
-        changed |= _collapse_pass(child, values, replacement, fresh)
+        _collapse(child, values, replacement, fresh)
     if not node.is_leaf:
         child_templates = tuple(c.template for c in node.children)
         candidate = merge_all(child_templates)
         if candidate.canonical_key != node.template.canonical_key:
             node.template = remap_new_slots(candidate, child_templates, fresh)
-            changed = True
-    return changed
 
 
 def _is_instantiation(parent: Template, child: Template, values: SlotValues) -> bool:
@@ -500,7 +490,12 @@ def induce_grammar(
     Returns:
         A grammar whose ``origin`` rule is the root template and whose
         other rules are the surviving slots' value sets.
+
+    Raises:
+        ValueError: ``ratio`` is outside [0, 1] or ``max_height`` below 1.
     """
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must be within [0, 1], got {ratio}")
     tree = learn_template_tree(texts, max_height=max_height)
     tree = prune_redundant_children(tree)
     for _ in range(MAX_PASSES):

@@ -137,9 +137,10 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     trimmed = (untrimmed(core), gaps)
     if lo == hi == 0:
         return trimmed
-    # Under the length bound an identical end may be better left unmatched,
-    # so the whole templates are tried too; they win only when strictly
-    # better.
+    # Under the length bound an identical end may be better left unmatched
+    # (`a b b b a a a <B> <A>` against `b <A> b b <A> a <A> <B> <A>`: an `a`
+    # matches in place of the end `<B>`), so the whole templates are tried
+    # too; they win only when strictly better.
     keys = t1.match_keys
     whole = _bounded_alignment(keys, t2.match_keys)
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
@@ -357,7 +358,7 @@ def remap_new_slots(
     return Template(tuple(elements))
 
 
-# Cached because each collapse pass and induction round recalculates mostly the same child tuples.
+# Cached because each induction round's collapse recalculates mostly the same child tuples.
 @lru_cache(maxsize=1 << 12)
 def merge_all(templates: tuple[Template, ...]) -> Template:
     """Fold templates into one by repeatedly merging the closest pair.

@@ -131,8 +131,16 @@ def test_run_experiment_tokenless_two_by_two_stays_sound():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"sample_sizes": ()}, {"sample_sizes": (5, 0)}, {"cap": 0}, {"cap": -3}],
-    ids=["no-sizes", "zero-size", "zero-cap", "negative-cap"],
+    [
+        {"sample_sizes": ()},
+        {"sample_sizes": (5, 0)},
+        {"cap": 0},
+        {"cap": -3},
+        {"ratio": 1.5},
+        {"ratio": -0.1},
+        {"max_height": 0},
+    ],
+    ids=["no-sizes", "zero-size", "zero-cap", "negative-cap", "ratio-above-one", "negative-ratio", "zero-height"],
 )
 def test_experiment_config_rejects_bad_fields(fields):
     with pytest.raises(ValueError):

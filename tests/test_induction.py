@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gramtree import induction
 from gramtree.errors import InternalInvariantError
 from gramtree.grammar import enumerate_language, rule_count, to_tracery
 from gramtree.induction import (
@@ -420,8 +421,17 @@ def test_induce_ratio_validation():
         induce_grammar(["a"], ratio=1.5)
 
 
+def test_induce_checks_ratio_before_learning(monkeypatch):
+    def learn(*args, **kwargs):
+        raise AssertionError("the tree was learned before the ratio was checked")
+
+    monkeypatch.setattr(induction, "learn_template_tree", learn)
+    with pytest.raises(ValueError, match="ratio"):
+        induce_grammar(["a b", "a c"], ratio=-0.5)
+
+
 # Eight sentences over two words. Collapse closes a slot cycle that the slot
-# merge's acyclicity guard cannot see (ROADMAP item 2); at ratio 0, and with
+# merge's acyclicity guard cannot see (ROADMAP item 3); at ratio 0, and with
 # any height cap from 1 to 3, the grammar comes out non-recursive.
 RECURSIVE_CORPUS = [
     "w0 w0 w0",

@@ -1,10 +1,14 @@
 """One walk per job, against the earlier code that wrote each walk twice.
 
-The merge alignment's two programs share one forward walk, a collapse pass
-walks the tree once, the slot fixpoint stops on change flags, and tree
-equality up to slot ids compares two shape keys. The references below are
-the earlier forms: a walk per program, three tree walks per collapse pass,
-value-set snapshots, and a bijection walk. Each pair must agree exactly.
+The merge alignment's two programs share one forward walk, collapse is one
+walk of the tree, the slot fixpoint stops when simplification changes
+nothing, and tree equality up to slot ids compares two shape keys. The
+references below are the earlier forms: a walk per program, three tree
+walks per collapse pass repeated until nothing changes, value-set
+snapshots, and a bijection walk. Each pair must agree exactly, on whole
+inductions too. Collapse needs a closed slot replacement, one whose targets
+are never replaced themselves; the slot merge and the slot fixpoint are
+checked to return one.
 """
 
 import random
@@ -12,7 +16,9 @@ from itertools import count
 
 import pytest
 
+from gramtree import induction
 from gramtree.errors import InternalInvariantError
+from gramtree.grammar import to_tracery
 from gramtree.induction import (
     MAX_PASSES,
     _is_instantiation,
@@ -21,6 +27,7 @@ from gramtree.induction import (
     _slot_fixpoint,
     collapse_tree,
     extract_slot_values,
+    induce_grammar,
     merge_similar_slots,
 )
 from gramtree.merge import _alignment, _gap_count, _rank, merge_all, remap_new_slots
@@ -35,7 +42,7 @@ from gramtree.tree import (
     tree_equal_up_to_slot_ids,
 )
 
-from conftest import random_template, template
+from conftest import deep_corpus, random_template, template
 from test_merge import LENGTH_BOUND_PAIR
 
 
@@ -384,7 +391,6 @@ def learned_inputs(seed, n):
             sources = [uid for uid in ids if uid not in targets]
             closed = {uid: rng.choice(targets) for uid in rng.sample(sources, rng.randint(0, len(sources)))}
             yield tree, values, closed
-        yield tree, values, {0: 1, 1: 2}
 
 
 def test_collapse_matches_the_three_walk_reference():
@@ -394,6 +400,33 @@ def test_collapse_matches_the_three_walk_reference():
         assert same_outcome(outcome(collapse_tree, tree, values, replacement), expected)
         cases += 1
     assert cases > 700
+
+
+def test_collapse_rejects_a_replacement_that_is_not_closed():
+    # Slot 1 is both a target and replaced: one walk would leave a 1 behind
+    # that a second walk would turn into 2.
+    tree = prune_redundant_children(learn_template_tree(["w0 w1", "w1 w1 w0", "w0"]))
+    with pytest.raises(ValueError, match="not closed"):
+        collapse_tree(tree, extract_slot_values(tree), {0: 1, 1: 2})
+
+
+def random_corpus(rng):
+    words = ("w0", "w1", "w2", "w3", "w4", "w5")[: rng.randint(2, 6)]
+    return [" ".join(rng.choices(words, k=rng.randint(1, 6))) for _ in range(rng.randint(2, 14))]
+
+
+def test_induction_matches_the_multi_pass_collapse(monkeypatch):
+    rng = random.Random(1117)
+    runs = [(deep_corpus(60, seed), 0.5, None) for seed in range(4)]
+    runs += [(random_corpus(rng), rng.choice((0.0, 0.5, 1.0)), rng.choice((None, 2, 3))) for _ in range(200)]
+
+    def induced(corpus, ratio, max_height):
+        return to_tracery(induce_grammar(corpus, ratio=ratio, max_height=max_height))
+
+    expected = [outcome(induced, *run) for run in runs]
+    monkeypatch.setattr(induction, "collapse_tree", reference_collapse)
+    assert [outcome(induced, *run) for run in runs] == expected
+    assert sum(isinstance(e, str) for e in expected) > 190
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +466,28 @@ def random_values(rng):
         uid: {tuple(rng.choices(elements, k=rng.randint(0, 2))) for _ in range(rng.randint(0, 4))}
         for uid in ids
     }
+
+
+def is_closed(replacement):
+    return replacement.keys().isdisjoint(replacement.values())
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
+def test_slot_merges_return_closed_replacements_and_stop_for_good(ratio):
+    # The one-walk collapse needs a closed replacement, and the slot
+    # fixpoint stops when simplification changes nothing only because a
+    # second merge pass over the values of the first merges nothing.
+    rng = random.Random(529)
+    chained = 0
+    for _ in range(500):
+        values = random_values(rng)
+        after, replacement = merge_similar_slots(values, ratio)
+        assert is_closed(replacement), values
+        assert merge_similar_slots(after, ratio) == (after, {}), values
+        _, combined = _slot_fixpoint(values, ratio)
+        assert is_closed(combined), values
+        chained += len(combined) > 1
+    assert chained > 40
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
