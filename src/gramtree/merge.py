@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from typing import Callable, Iterator, Sequence
+from math import inf
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .template import (
     Element,
@@ -358,56 +359,77 @@ def remap_new_slots(
     return Template(tuple(elements))
 
 
+class PairQueue:
+    """The closest pairs of live templates, scored lazily (lazy greedy; Minoux, 1978).
+
+    ``add`` queues a template against every live one with
+    ``distance_lower_bound``. ``pop`` computes a pair's exact ``score`` only
+    when its entry reaches the top with both ids still in ``live``, and
+    drops the entries of ids that are gone unscored, so most queued pairs
+    are never scored. An id deleted from ``live`` and added again brings
+    back its entries not yet dropped.
+
+    Pairs come out in ``(value, canonical keys, ids)`` order, the smaller
+    id first, and ``score`` sees them in id order. At equal value every
+    bound sorts before every exact entry, so an exact entry on top is the
+    closest live pair, and the bounds before it were all scored or dropped,
+    in whatever order: bounds break ties on queue order alone.
+    """
+
+    def __init__(self, score: Callable[[Template, Template], int]) -> None:
+        self.live: dict[Hashable, Template] = {}
+        self._score = score
+        # (bound, 0, queued, older id, newer id) or (value, 1, kmin, kmax, min id, max id)
+        self._heap: list[tuple] = []
+        self._queued = count()
+
+    def add(self, ident: Hashable, template: Template) -> None:
+        """Make ``template`` live as ``ident`` and queue it against every live template."""
+        heap, queued = self._heap, self._queued
+        for other, t in self.live.items():
+            heappush(heap, (distance_lower_bound(t, template), 0, next(queued), other, ident))
+        self.live[ident] = template
+
+    def pop(self, limit: float = inf) -> tuple[int, Hashable, Hashable] | None:
+        """The closest live pair ``(value, id, id)`` within ``limit``, ids ascending, or None."""
+        heap, live = self._heap, self.live
+        while heap and heap[0][0] <= limit:
+            entry = heappop(heap)
+            a, b = entry[-2], entry[-1]
+            if a not in live or b not in live:
+                continue
+            if entry[1]:
+                return entry[0], a, b
+            if b < a:
+                a, b = b, a
+            t, u = live[a], live[b]
+            k, ku = t.canonical_key, u.canonical_key
+            kmin, kmax = (k, ku) if k <= ku else (ku, k)
+            heappush(heap, (self._score(t, u), 1, kmin, kmax, a, b))
+        return None
+
+
 # Cached because each induction round's collapse recalculates mostly the same child tuples.
 @lru_cache(maxsize=1 << 12)
 def merge_all(templates: tuple[Template, ...]) -> Template:
     """Fold templates into one by repeatedly merging the closest pair.
 
-    Ties break on canonical template order, then insertion order. Slot ids
-    inherited from the inputs survive; inserted slots get ids above every
-    input id, assigned deterministically, so the result is a pure function
-    of the input tuple.
-
-    Pairs are scored lazily: a pair enters the heap with
-    ``distance_lower_bound`` and gets its exact ``distance`` only when it
-    reaches the top of the heap with both templates unmerged; entries of
-    merged-away templates are dropped unscored. At equal value a bound sorts before an exact distance, so an
-    exact entry on top is the closest pair under the full tie order.
+    The closest pair comes from a :class:`PairQueue`: ties break on
+    canonical template order, then insertion order. Slot ids inherited from
+    the inputs survive; inserted slots get ids above every input id,
+    assigned deterministically, so the result is a pure function of the
+    input tuple.
     """
     if not templates:
         raise ValueError("merge_all requires at least one template")
     fresh = count(max((uid for t in templates for uid in slot_ids(t)), default=-1) + 1)
-    alive: dict[int, Template] = dict(enumerate(templates))
-    # (value, exact, tie keys...): exact is 0 for a bound, 1 for a distance.
-    heap: list[tuple[int, int, tuple, tuple, int, int]] = []
-
-    def push_pairs(seq: int, others: Sequence[int]) -> None:
-        t = alive[seq]
-        k = t.canonical_key
-        for other in others:
-            u = alive[other]
-            ku = u.canonical_key
-            kmin, kmax = (k, ku) if k <= ku else (ku, k)
-            heappush(
-                heap, (distance_lower_bound(t, u), 0, kmin, kmax, min(seq, other), max(seq, other))
-            )
-
-    seqs = list(alive)
-    for pos, seq in enumerate(seqs):
-        push_pairs(seq, seqs[pos + 1 :])
-
-    next_seq = len(templates)
-    while len(alive) > 1:
-        _, exact, kmin, kmax, s1, s2 = heappop(heap)
-        if s1 not in alive or s2 not in alive:
-            continue
-        if not exact:
-            heappush(heap, (distance(alive[s1], alive[s2]), 1, kmin, kmax, s1, s2))
-            continue
-        merged = merge_templates(alive[s1], alive[s2]).merged
-        merged = remap_new_slots(merged, (alive[s1], alive[s2]), fresh)
-        del alive[s1], alive[s2]
-        alive[next_seq] = merged
-        push_pairs(next_seq, [s for s in alive if s != next_seq])
-        next_seq += 1
-    return next(iter(alive.values()))
+    seqs = count()
+    queue = PairQueue(distance)
+    for t in templates:
+        queue.add(next(seqs), t)
+    live = queue.live
+    while len(live) > 1:
+        _, s1, s2 = queue.pop()
+        pair = (live.pop(s1), live.pop(s2))
+        queue.add(next(seqs), remap_new_slots(merge_templates(*pair).merged, pair, fresh))
+    return next(iter(live.values()))

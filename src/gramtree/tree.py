@@ -3,24 +3,18 @@
 A template tree is learned bottom-up: all distinct input sentences start as
 leaves, and the closest pair of parentless templates is repeatedly merged
 until a single root remains. Every merge records the merged nodes as
-children of the node holding the merge result.
-
-Pairs are scored lazily (lazy greedy; Minoux, 1978). A pair is queued with
-``distance_lower_bound``, a bit-parallel token-LCS bound, and its exact
-``distance`` is computed only when the entry reaches the top of the heap
-with both ends still active; entries of merged-away templates are dropped
-unscored. Most queued pairs never get an exact distance.
+children of the node holding the merge result. The closest pairs come from
+:class:`gramtree.merge.PairQueue`, which scores them lazily.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable
 
-from .merge import distance, distance_lower_bound, merge_templates, remap_new_slots
+from .merge import PairQueue, distance, merge_templates, remap_new_slots
 from .template import Template, Token, format_template, normalize_sentence, slot_ids, tokenize
 
 
@@ -144,71 +138,40 @@ def learn_template_tree(
         raise ValueError(f"max_height must be >= 1, got {max_height}")
 
     fresh_ids = count()
-    active: dict[tuple, TemplateTreeNode] = {}
+    queue = PairQueue(distance)
+    nodes: dict[tuple, TemplateTreeNode] = {}  # the latest node of each canonical key
     for text in distinct:
         leaf = TemplateTreeNode(tokenize(text), leaf_text=text)
-        active[leaf.template.canonical_key] = leaf
+        nodes[leaf.template.canonical_key] = leaf
+        queue.add(leaf.template.canonical_key, leaf.template)
+    live = queue.live
 
-    # (value, exact, pair): exact is 0 for a lower bound, 1 for a distance.
-    # At equal value bounds sort first, so once an exact entry is on top no
-    # pair left unscored can tie with it.
-    heap: list[tuple[int, int, tuple[tuple, tuple]]] = []
-
-    def enqueue(k1: tuple, k2: tuple) -> None:
-        pair = (k1, k2) if k1 <= k2 else (k2, k1)
-        bound = distance_lower_bound(active[k1].template, active[k2].template)
-        heappush(heap, (bound, 0, pair))
-
-    keys = sorted(active)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1 :]:
-            enqueue(k1, k2)
-
-    while len(active) > 1:
-        # Pop the whole band of minimally distant still-valid pairs.
-        batch: list[tuple[tuple, tuple]] = []
-        d_min: int | None = None
-        while heap:
-            d, exact, pair = heap[0]
-            if d_min is not None and d > d_min:
-                break
-            heappop(heap)
-            k1, k2 = pair
-            if k1 not in active or k2 not in active:
-                continue
-            if not exact:
-                heappush(heap, (distance(active[k1].template, active[k2].template), 1, pair))
-                continue
-            if d_min is None:
-                d_min = d
-            batch.append(pair)
-        if not batch:
-            raise AssertionError("active templates left but no valid pair queued")
+    while len(live) > 1:
+        band = [queue.pop()]
+        while (pair := queue.pop(band[0][0])) is not None:
+            band.append(pair)
 
         fresh: dict[tuple, TemplateTreeNode] = {}
-        for k1, k2 in batch:
-            if k1 not in active or k2 not in active:
+        for _, k1, k2 in band:
+            if k1 not in live or k2 not in live:
                 continue  # a member was merged away earlier this round
-            n1 = active.pop(k1)
-            n2 = active.pop(k2)
+            del live[k1], live[k2]
+            n1, n2 = nodes[k1], nodes[k2]
             result = merge_templates(n1.template, n2.template)
             merged = remap_new_slots(result.merged, (n1.template, n2.template), fresh_ids)
             key = merged.canonical_key
-            if key in active:
-                active[key].children.extend((n1, n2))
+            if key in live:
+                nodes[key].children.extend((n1, n2))
             elif key in fresh:
                 fresh[key].children.extend((n1, n2))
             else:
                 fresh[key] = TemplateTreeNode(merged, [n1, n2])
 
         for key in sorted(fresh):
-            node = fresh[key]
-            existing = list(active)
-            active[key] = node
-            for other in existing:
-                enqueue(key, other)
+            nodes[key] = fresh[key]
+            queue.add(key, fresh[key].template)
 
-    root = next(iter(active.values()))
+    root = nodes[next(iter(live))]
     if max_height is not None:
         root = limit_height(root, max_height)
     return root

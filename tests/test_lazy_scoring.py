@@ -1,9 +1,11 @@
 """Lazy closest-pair scoring against eager references.
 
-``learn_template_tree`` and ``merge_all`` queue pairs with a lower bound and
-compute exact distances only at the top of the heap. The eager loops below
-score every queued pair exactly, as both did before; the lazy ones must
-pick the same pairs in the same order.
+``learn_template_tree`` and ``merge_all`` take their closest pairs from one
+``PairQueue``, which queues pairs with a lower bound and computes exact
+distances only at the top of its heap. The eager loops below score every
+queued pair exactly, as both did before; the lazy ones must pick the same
+pairs in the same order. The queue itself is checked against an eager
+scan of its live pairs.
 """
 
 import itertools
@@ -11,8 +13,9 @@ import random
 from heapq import heappop, heappush
 from itertools import count
 
+import gramtree.merge
 import gramtree.tree
-from gramtree.merge import distance, merge_all, merge_templates, remap_new_slots
+from gramtree.merge import PairQueue, distance, merge_all, merge_templates, remap_new_slots
 from gramtree.template import Template, normalize_sentence, slot_ids, tokenize
 from gramtree.tree import TemplateTreeNode, learn_template_tree, tree_equal
 
@@ -123,3 +126,89 @@ def test_learning_computes_few_exact_distances(monkeypatch):
     monkeypatch.setattr(gramtree.tree, "distance", counted)
     learn_template_tree(corpus)
     assert 0 < calls < 60 * 59 // 4
+
+
+def test_merge_all_computes_few_exact_distances(monkeypatch):
+    # The 60 leaves of the corpus above: eager scoring needs all 1,770
+    # pairs and then every merge result against the rest; lazy about 400.
+    templates = tuple(tokenize(text) for text in deep_corpus(60))
+    calls = 0
+
+    def counted(t1, t2):
+        nonlocal calls
+        calls += 1
+        return distance(t1, t2)
+
+    monkeypatch.setattr(gramtree.merge, "distance", counted)
+    merge_all.cache_clear()
+    merge_all(templates)
+    assert 0 < calls < 60 * 59 // 4
+
+
+def queue_order(templates, i, j):
+    """The eager sort key of the live pair ``{i, j}``, ids ascending."""
+    i, j = min(i, j), max(i, j)
+    keys = sorted((templates[i].canonical_key, templates[j].canonical_key))
+    return (distance(templates[i], templates[j]), *keys, i, j)
+
+
+def test_queue_pops_pairs_in_eager_order():
+    # Few words, so shapes repeat and ties run down to the ids; ids are
+    # added out of order and a removed id is never added again.
+    rng = random.Random(1978)
+    scored = queued = 0
+
+    def counted(t1, t2):
+        nonlocal scored
+        scored += 1
+        return distance(t1, t2)
+
+    for _ in range(200):
+        words = ("a", "b", "c")[: rng.randint(1, 3)]
+        ids = rng.sample(range(1000), 40)
+        queue = PairQueue(counted)
+        templates, pending, removed = {}, set(), set()
+
+        def add():
+            nonlocal queued
+            ident = ids.pop()
+            templates[ident] = random_template(rng, words, max_len=5)
+            pending.update(frozenset((ident, other)) for other in queue.live)
+            queued += len(queue.live)
+            queue.add(ident, templates[ident])
+
+        for _ in range(rng.randint(2, 10)):
+            add()
+        for _ in range(60):
+            live_pairs = [tuple(p) for p in pending if p <= queue.live.keys()]
+            eager = min((queue_order(templates, *p) for p in live_pairs), default=None)
+            limit = rng.choice((float("inf"), rng.randint(0, 4)))
+            popped = queue.pop(limit)
+            if eager is None or eager[0] > limit:
+                assert popped is None
+            else:
+                assert popped == (eager[0], *eager[-2:])
+                assert not removed & set(popped[1:])
+                pending.discard(frozenset(popped[1:]))
+                for ident in rng.sample(popped[1:], rng.randint(0, 2)):
+                    del queue.live[ident]
+                    removed.add(ident)
+            if ids and rng.random() < 0.5:
+                add()
+    assert 0 < scored < queued
+
+
+def test_queue_brings_back_the_entries_of_an_id_added_again():
+    templates = [tokenize(text) for text in ("a b", "a c", "b c")]
+
+    def pops(readd):
+        queue = PairQueue(distance)
+        for ident, t in enumerate(templates):
+            queue.add(ident, t)
+        del queue.live[1]
+        if readd:
+            queue.add(1, templates[1])
+        return sorted(pair for _, *pair in iter(queue.pop, None))
+
+    assert pops(readd=False) == [[0, 2]]
+    assert pops(readd=True) == [[0, 1], [0, 1], [0, 2], [1, 2], [1, 2]]
