@@ -9,6 +9,12 @@ such alignment. A merge may not be longer than both inputs; in the rare
 case that the best alignment breaks that bound, the same program, with the
 merge elements still allowed as a budget, finds the best one that keeps it.
 Both are exact on every input: no count of alignments is capped.
+
+The distance needs only the counts of a best alignment, and the program's
+best score encodes them, so it builds no alignment where the bound holds.
+``PairQueue`` finds closest pairs for tree learning and ``merge_all``: it
+bounds a new template against all queued ones in one packed LCS pass and
+scores a pair exactly only when its bound reaches the top.
 """
 
 from __future__ import annotations
@@ -63,42 +69,36 @@ def merge_templates(t1: Template, t2: Template) -> MergeResult:
 def distance(t1: Template, t2: Template) -> int:
     """Merge-based distance: max(l1, l2) - l_m + s_m - min(s1, s2).
 
-    ``l_m`` and ``s_m`` are counted on the alignment; the merge is not built.
+    ``l_m`` and ``s_m`` are read off the best score of the alignment
+    program, which encodes the rank of every best alignment; neither the
+    alignment nor the merge is built. Only where that alignment breaks the
+    length bound is the bounded one taken from ``_alignment``.
     """
     if t2.canonical_key < t1.canonical_key:
         t1, t2 = t2, t1
-    _, slots_minus_tokens, _ = _rank(*_alignment(t1, t2), t1.match_keys)
+    keys = t1.match_keys
+    lo, hi = _trimmed_ends(t1.elements, t2.elements)
+    ka, kb = keys[lo : len(keys) - hi], t2.match_keys[lo : len(t2) - hi]
+    w1, gap, values = _weights(ka, len(kb))
+    for row in _score_rows(ka, kb, values, gap):
+        pass
+    # The best score is matches * w1 - cost with 0 <= cost < w1 and
+    # cost = w2 * (slots + matched slots) + slots, where w2 = gap - 1 is more
+    # than the merge's slots: its gaps plus its matched slots.
+    best = row[0]
+    matches = -(-best // w1)
+    slots_and_matched_slots, slots = divmod(matches * w1 - best, gap - 1)
+    gaps = 2 * slots - slots_and_matched_slots
+    if matches + gaps > max(len(ka), len(kb)):
+        _, slots_minus_tokens, _ = _rank(*_alignment(t1, t2), keys)
+    else:
+        slots += keys[:lo].count(None) + keys[len(keys) - hi :].count(None)
+        slots_minus_tokens = 2 * slots - (matches + lo + hi) - gaps
     return (
         max(token_count(t1), token_count(t2))
         + slots_minus_tokens
         - min(slot_count(t1), slot_count(t2))
     )
-
-
-def distance_lower_bound(t1: Template, t2: Template) -> int:
-    """A cheap lower bound on ``distance(t1, t2)``, symmetric in its inputs.
-
-    ``L``, the longest common subsequence of the two token sequences (slots
-    removed), bounds the merge's tokens: ``l_m <= L``. If ``L`` is below
-    ``top = max(l1, l2)``, some token is unmatched and forces a gap, and every
-    gap is a slot of the merge. So ``distance >= top - L + (L < top) -
-    min(s1, s2)``; the length-bounded alignment only lowers ``l_m``. ``L``
-    comes from the bit-parallel LCS-length recurrence over Python ints
-    (Allison & Dix, 1986; Hyyrö, 2004): one pass over the shorter sequence,
-    with the longer one's positions as bits.
-    """
-    l1, l2 = token_count(t1), token_count(t2)
-    if l1 < l2:
-        t1, t2, l1, l2 = t2, t1, l2, l1
-    masks = t1.token_masks
-    full = (1 << l1) - 1
-    v = full  # the zero bits of v count the LCS so far
-    for key in t2.match_keys:
-        if key is not None:
-            u = v & masks.get(key, 0)
-            v = ((v + u) | (v - u)) & full
-    lcs = l1 - v.bit_count()
-    return l1 - lcs + (lcs < l1) - min(slot_count(t1), slot_count(t2))
 
 
 # Cached because collapse re-scores the pairs that tree learning scored.
@@ -109,18 +109,8 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     Returns the matched ``(i, j)`` element index pairs, ascending, and the
     number of gaps (maximal runs of unmatched elements) between them.
     """
-    a, b = t1.elements, t2.elements
-    n, m = len(a), len(b)
-
-    # Identical ends never hurt a best alignment that meets the length
-    # bound; trimming them keeps the DP quadratic only in the differing core.
-    lo = 0
-    while lo < n and lo < m and a[lo] == b[lo]:
-        lo += 1
-    hi = 0
-    while hi < n - lo and hi < m - lo and a[n - 1 - hi] == b[m - 1 - hi]:
-        hi += 1
-
+    n, m = len(t1), len(t2)
+    lo, hi = _trimmed_ends(t1.elements, t2.elements)
     ka, kb = t1.match_keys[lo : n - hi], t2.match_keys[lo : m - hi]
 
     def untrimmed(core: Pairs) -> Pairs:
@@ -147,6 +137,22 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
 
 
+def _trimmed_ends(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[int, int]:
+    """Lengths of the identical prefix and suffix of two element sequences.
+
+    Identical ends never hurt a best alignment that meets the length bound;
+    trimming them keeps the DP quadratic only in the differing core.
+    """
+    n, m = len(a), len(b)
+    lo = 0
+    while lo < n and lo < m and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and hi < m - lo and a[n - 1 - hi] == b[m - 1 - hi]:
+        hi += 1
+    return lo, hi
+
+
 def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
     """The leftmost of the best alignments of two match-key sequences.
 
@@ -156,23 +162,32 @@ def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
     its slot count: a matched slot costs ``2 * w2 + 1``, a gap ``w2 + 1``.
     The length bound on merges is not applied here.
     """
-    n, m = len(ka), len(kb)
-    _, gap, values = _weights(ka, m)
+    _, gap, values = _weights(ka, len(kb))
+    f = list(_score_rows(ka, kb, values, gap))[::-1]
+    return _forward_walk(ka, kb, values, gap, lambda i, j, r: f[i][j], room=0)
 
-    # f[i][j]: best score of aligning ka[i:] with kb[j:] at the start or just
-    # after a match. g_row[j] holds the same score inside a gap, whose cost
-    # is paid when it closes; only the row below is kept. Opening a gap at
-    # (i, j) scores as being inside one there.
-    f = [[-gap] * (m + 1) for _ in range(n + 1)]
-    f[n][m] = 0
+
+def _score_rows(ka: Keys, kb: Keys, values: list[int], gap: int) -> Iterator[list[int]]:
+    """The rows of the score table of ``_best_alignment``, bottom up: f[n], ..., f[0].
+
+    f[i][j]: best score of aligning ka[i:] with kb[j:] at the start or just
+    after a match. g_row[j] holds the same score inside a gap, whose cost
+    is paid when it closes; only the row below is kept. Opening a gap at
+    (i, j) scores as being inside one there.
+    """
+    n, m = len(ka), len(kb)
+    f_next = [-gap] * m + [0]
+    yield f_next
     g_next = [-gap] * (m + 1)
     for i in range(n - 1, -1, -1):
         x, value = ka[i], values[i]
-        f_row, f_next = f[i], f[i + 1]
+        f_row = [-gap] * (m + 1)
         g_row = [-gap] * (m + 1)
         carry = -gap
         for j in range(m - 1, -1, -1):
-            in_gap = g_next[j] if g_next[j] >= carry else carry
+            in_gap = g_next[j]
+            if in_gap < carry:
+                in_gap = carry
             if x == kb[j]:
                 here = value + f_next[j + 1]
                 f_row[j] = here if here > in_gap else in_gap
@@ -181,9 +196,8 @@ def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
             else:
                 f_row[j] = in_gap
             g_row[j] = carry = in_gap
-        g_next = g_row
-
-    return _forward_walk(ka, kb, values, gap, lambda i, j, r: f[i][j], room=0)
+        yield f_row
+        f_next, g_next = f_row, g_row
 
 
 def _weights(ka: Keys, m: int) -> tuple[int, int, list[int]]:
@@ -359,54 +373,133 @@ def remap_new_slots(
     return Template(tuple(elements))
 
 
+_POPCOUNTS = bytes(byte.bit_count() for byte in range(256))
+
+
 class PairQueue:
     """The closest pairs of live templates, scored lazily (lazy greedy; Minoux, 1978).
 
-    ``add`` queues a template against every live one with
-    ``distance_lower_bound``. ``pop`` computes a pair's exact ``score`` only
-    when its entry reaches the top with both ids still in ``live``, and
-    drops the entries of ids that are gone unscored, so most queued pairs
-    are never scored. An id deleted from ``live`` and added again brings
-    back its entries not yet dropped.
+    ``add`` queues a template against every live one with a lower bound on
+    their distance. ``pop`` computes a pair's exact ``score`` only when its
+    entry reaches the top with both ids still live, and drops unscored the
+    entries of ids that are gone or have been added again since, so most
+    queued pairs are never scored and no pair is scored twice.
 
-    Pairs come out in ``(value, canonical keys, ids)`` order, the smaller
-    id first, and ``score`` sees them in id order. At equal value every
-    bound sorts before every exact entry, so an exact entry on top is the
-    closest live pair, and the bounds before it were all scored or dropped,
-    in whatever order: bounds break ties on queue order alone.
+    The bound: ``L``, the longest common subsequence of the two token
+    sequences (slots removed), bounds the merge's tokens, ``l_m <= L``. If
+    ``L`` is below ``top = max(l1, l2)``, some token is unmatched and forces
+    a gap, and every gap is a slot of the merge. So ``distance >= top - L +
+    (L < top) - min(s1, s2)``; the length-bounded alignment only lowers
+    ``l_m``. All the ``L`` of a new template come from one run of the
+    bit-parallel LCS-length recurrence (Allison & Dix, 1986; Hyyrö, 2004)
+    over its tokens, with the token masks of every queued template packed
+    side by side in one int (Hyyrö, Fredriksson & Navarro, 2005). A field
+    is ``8 * width`` bits and its top bit stays zero, so no carry crosses
+    into the next field. Fields are widened when a longer template arrives
+    and repacked when dead ones outnumber the live.
+
+    Entries sit in buckets by value (Dial, 1969): the bounds in a list, the
+    exact entries in a heap. Pairs come out in ``(value, canonical keys,
+    ids)`` order, the smaller id first, and ``score`` sees them in id
+    order. A bucket's bounds are all scored or dropped before its exact
+    heap is popped, so an exact entry on top is the closest live pair, and
+    the bounds may be taken in any order.
     """
 
     def __init__(self, score: Callable[[Template, Template], int]) -> None:
         self.live: dict[Hashable, Template] = {}
         self._score = score
-        # (bound, 0, queued, older id, newer id) or (value, 1, kmin, kmax, min id, max id)
-        self._heap: list[tuple] = []
-        self._queued = count()
+        # One field per add: (generation, id, template, tokens, slots).
+        self._current: dict[Hashable, tuple] = {}  # id -> the field of its latest add
+        self._generations = count()
+        self._fields: list[tuple] = []  # in packed order
+        self._width = 1  # bytes per packed field
+        self._masks: dict[str, int] = {}  # token text -> its packed positions
+        self._full = 0  # every packed token position
+        # value -> (bound entries, heap of exact entries); ``_values`` heaps the keys.
+        self._buckets: dict[int, tuple[list, list]] = {}
+        self._values: list[int] = []
 
     def add(self, ident: Hashable, template: Template) -> None:
         """Make ``template`` live as ``ident`` and queue it against every live template."""
-        heap, queued = self._heap, self._queued
-        for other, t in self.live.items():
-            heappush(heap, (distance_lower_bound(t, template), 0, next(queued), other, ident))
+        tokens, slots = token_count(template), slot_count(template)
+        field = (next(self._generations), ident, template, tokens, slots)
+        if tokens >= 8 * self._width or len(self._fields) > 2 * len(self.live):
+            self._repack(max(self._width, tokens // 8 + 1))
+        fields, width, full = self._fields, self._width, self._full
+        v = full  # the zero bits of v count the LCS so far
+        masks = self._masks
+        for key in template.match_keys:
+            if key is not None and (mask := masks.get(key)):
+                u = v & mask
+                v = ((v + u) | (v - u)) & full
+        # A field's LCS is the popcount of its bytes of full ^ v.
+        popcounts = (full ^ v).to_bytes(len(fields) * width, "little").translate(_POPCOUNTS)
+        lcs_counts = map(sum, zip(*(popcounts[k::width] for k in range(width))))
+        current, buckets = self._current, self._buckets
+        alive = {current[other][0] for other in self.live}
+        for other, lcs in zip(fields, lcs_counts):
+            if other[0] in alive:
+                top = tokens if tokens > other[3] else other[3]
+                bound = top - lcs + (lcs < top) - (slots if slots < other[4] else other[4])
+                (buckets.get(bound) or self._bucket(bound))[0].append((other, field))
+        self._pack(field)
+        current[ident] = field
         self.live[ident] = template
 
     def pop(self, limit: float = inf) -> tuple[int, Hashable, Hashable] | None:
         """The closest live pair ``(value, id, id)`` within ``limit``, ids ascending, or None."""
-        heap, live = self._heap, self.live
-        while heap and heap[0][0] <= limit:
-            entry = heappop(heap)
-            a, b = entry[-2], entry[-1]
-            if a not in live or b not in live:
-                continue
-            if entry[1]:
-                return entry[0], a, b
-            if b < a:
-                a, b = b, a
-            t, u = live[a], live[b]
-            k, ku = t.canonical_key, u.canonical_key
-            kmin, kmax = (k, ku) if k <= ku else (ku, k)
-            heappush(heap, (self._score(t, u), 1, kmin, kmax, a, b))
+        buckets, values = self._buckets, self._values
+        while values and values[0] <= limit:
+            value = values[0]
+            bounds, exact = buckets[value]
+            while bounds:
+                f1, f2 = bounds.pop()
+                if not self._is_live(f1, f2):
+                    continue
+                if f2[1] < f1[1]:
+                    f1, f2 = f2, f1
+                t, u = f1[2], f2[2]
+                k, ku = t.canonical_key, u.canonical_key
+                keys = (k, ku) if k <= ku else (ku, k)
+                score = self._score(t, u)
+                bucket = buckets.get(score) or self._bucket(score)
+                heappush(bucket[1], (*keys, f1[1], f2[1], f1[0], f2[0], f1, f2))
+            while exact:
+                *_, f1, f2 = heappop(exact)
+                if self._is_live(f1, f2):
+                    return value, f1[1], f2[1]
+            del buckets[value]
+            heappop(values)
         return None
+
+    def _bucket(self, value: int) -> tuple[list, list]:
+        """A new, empty bucket for ``value``."""
+        self._buckets[value] = bucket = ([], [])
+        heappush(self._values, value)
+        return bucket
+
+    def _is_live(self, f1: tuple, f2: tuple) -> bool:
+        """Whether both fields are the latest of their ids and both ids are live."""
+        current, live = self._current, self.live
+        return current[f1[1]] is f1 and current[f2[1]] is f2 and f1[1] in live and f2[1] in live
+
+    def _pack(self, field: tuple) -> None:
+        """Append ``field``, its template's token masks at the next offset."""
+        offset = 8 * self._width * len(self._fields)
+        masks = self._masks
+        for text, mask in field[2].token_masks.items():
+            masks[text] = masks.get(text, 0) | mask << offset
+        self._full |= ((1 << field[3]) - 1) << offset
+        self._fields.append(field)
+
+    def _repack(self, width: int) -> None:
+        """Pack the fields of the live ids again, ``width`` bytes each."""
+        current, live = self._current, self.live
+        fields = [f for f in self._fields if current[f[1]] is f and f[1] in live]
+        self._fields, self._width, self._masks, self._full = [], width, {}, 0
+        for field in fields:
+            self._pack(field)
 
 
 # Cached because each induction round's collapse recalculates mostly the same child tuples.

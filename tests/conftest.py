@@ -10,7 +10,7 @@ import pytest
 
 import gramtree
 from gramtree import Grammar, parse_tracery
-from gramtree.template import Slot, Template, Token
+from gramtree.template import Slot, Template, Token, slot_count, token_count
 
 
 def pytest_runtest_logreport(report):
@@ -70,6 +70,29 @@ def template(*parts) -> Template:
 def random_template(rng, words=("a", "b", "c"), max_len=6) -> Template:
     """Up to ``max_len`` elements drawn from ``words`` and the slot ids 0-2."""
     return template(*rng.choices(tuple(words) + (0, 1, 2), k=rng.randint(0, max_len)))
+
+
+def distance_lower_bound(t1: Template, t2: Template) -> int:
+    """The per-pair lower bound on ``distance`` that ``PairQueue`` packs.
+
+    ``L``, the LCS of the two token sequences, from the bit-parallel
+    LCS-length recurrence over Python ints (Allison & Dix, 1986; Hyyrö,
+    2004): one pass over the shorter sequence, with the longer one's
+    positions as bits. Then ``top - L + (L < top) - min(s1, s2)`` with
+    ``top = max(l1, l2)``.
+    """
+    l1, l2 = token_count(t1), token_count(t2)
+    if l1 < l2:
+        t1, t2, l1, l2 = t2, t1, l2, l1
+    masks = t1.token_masks
+    full = (1 << l1) - 1
+    v = full  # the zero bits of v count the LCS so far
+    for key in t2.match_keys:
+        if key is not None:
+            u = v & masks.get(key, 0)
+            v = ((v + u) | (v - u)) & full
+    lcs = l1 - v.bit_count()
+    return l1 - lcs + (lcs < l1) - min(slot_count(t1), slot_count(t2))
 
 
 def run_python(code: str, stdin: str = "", **env: str) -> str:

@@ -2,24 +2,34 @@
 
 ``learn_template_tree`` and ``merge_all`` take their closest pairs from one
 ``PairQueue``, which queues pairs with a lower bound and computes exact
-distances only at the top of its heap. The eager loops below score every
-queued pair exactly, as both did before; the lazy ones must pick the same
-pairs in the same order. The queue itself is checked against an eager
-scan of its live pairs.
+distances only for entries in its lowest bucket. The eager loops below
+score every queued pair exactly, as both did before; the lazy ones must
+pick the same pairs in the same order. The queue itself is checked
+against an eager scan of its live pairs, and its packed bounds against
+the per-pair bound.
 """
 
 import itertools
 import random
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
 
 import gramtree.merge
 import gramtree.tree
-from gramtree.merge import PairQueue, distance, merge_all, merge_templates, remap_new_slots
+from gramtree.merge import (
+    PairQueue,
+    _alignment,
+    distance,
+    merge_all,
+    merge_templates,
+    remap_new_slots,
+)
 from gramtree.template import Template, normalize_sentence, slot_ids, tokenize
 from gramtree.tree import TemplateTreeNode, learn_template_tree, tree_equal
 
-from conftest import deep_corpus, random_template
+from conftest import deep_corpus, distance_lower_bound, random_template, template
+from test_merge import breaks_length_bound
 
 
 def eager_learn(texts) -> TemplateTreeNode:
@@ -145,6 +155,32 @@ def test_merge_all_computes_few_exact_distances(monkeypatch):
     assert 0 < calls < 60 * 59 // 4
 
 
+def test_learning_builds_alignments_only_to_merge(monkeypatch):
+    # distance reads its counts off the alignment score: of the pairs
+    # scored, only those whose best alignment breaks the length bound get
+    # an alignment built, and merging builds the rest.
+    corpus = deep_corpus(60)
+    merges, scored, fallbacks = 0, set(), set()
+
+    def counted_merge(t1, t2):
+        nonlocal merges
+        merges += 1
+        return merge_templates(t1, t2)
+
+    def counted_distance(t1, t2):
+        scored.add(frozenset((t1, t2)))
+        if breaks_length_bound(t1, t2):
+            fallbacks.add(frozenset((t1, t2)))
+        return distance(t1, t2)
+
+    monkeypatch.setattr(gramtree.tree, "merge_templates", counted_merge)
+    monkeypatch.setattr(gramtree.tree, "distance", counted_distance)
+    distance.cache_clear()
+    _alignment.cache_clear()
+    learn_template_tree(corpus)
+    assert 0 < _alignment.cache_info().misses <= merges + len(fallbacks) < len(scored) // 4
+
+
 def queue_order(templates, i, j):
     """The eager sort key of the live pair ``{i, j}``, ids ascending."""
     i, j = min(i, j), max(i, j)
@@ -154,9 +190,10 @@ def queue_order(templates, i, j):
 
 def test_queue_pops_pairs_in_eager_order():
     # Few words, so shapes repeat and ties run down to the ids; ids are
-    # added out of order and a removed id is never added again.
+    # added out of order, and removed ids come back with their old
+    # template or a new one.
     rng = random.Random(1978)
-    scored = queued = 0
+    scored = queued = readded = 0
 
     def counted(t1, t2):
         nonlocal scored
@@ -169,16 +206,15 @@ def test_queue_pops_pairs_in_eager_order():
         queue = PairQueue(counted)
         templates, pending, removed = {}, set(), set()
 
-        def add():
+        def add(ident, t):
             nonlocal queued
-            ident = ids.pop()
-            templates[ident] = random_template(rng, words, max_len=5)
+            templates[ident] = t
             pending.update(frozenset((ident, other)) for other in queue.live)
             queued += len(queue.live)
-            queue.add(ident, templates[ident])
+            queue.add(ident, t)
 
         for _ in range(rng.randint(2, 10)):
-            add()
+            add(ids.pop(), random_template(rng, words, max_len=5))
         for _ in range(60):
             live_pairs = [tuple(p) for p in pending if p <= queue.live.keys()]
             eager = min((queue_order(templates, *p) for p in live_pairs), default=None)
@@ -188,17 +224,78 @@ def test_queue_pops_pairs_in_eager_order():
                 assert popped is None
             else:
                 assert popped == (eager[0], *eager[-2:])
-                assert not removed & set(popped[1:])
                 pending.discard(frozenset(popped[1:]))
                 for ident in rng.sample(popped[1:], rng.randint(0, 2)):
                     del queue.live[ident]
                     removed.add(ident)
-            if ids and rng.random() < 0.5:
-                add()
+            if removed and rng.random() < 0.2:
+                ident = rng.choice(sorted(removed))
+                removed.discard(ident)
+                readded += 1
+                add(ident, rng.choice((templates[ident], random_template(rng, words, max_len=5))))
+            elif ids and rng.random() < 0.5:
+                add(ids.pop(), random_template(rng, words, max_len=5))
     assert 0 < scored < queued
+    assert readded > 1000
 
 
-def test_queue_brings_back_the_entries_of_an_id_added_again():
+def live_bound_entries(queue):
+    """``(id pair, bound)`` of each queued bound entry whose ids are live and not added again since."""
+    return [
+        (frozenset((f1[1], f2[1])), value)
+        for value, (bounds, _) in queue._buckets.items()
+        for f1, f2 in bounds
+        if queue._is_live(f1, f2)
+    ]
+
+
+def test_packed_bounds_match_the_per_pair_bound():
+    # Random adds, deletions and re-adds: templates with no tokens or only
+    # slots, templates too long for the fields packed so far (a widen), and
+    # runs of deletions (a repack). Nothing is popped, so every live pair
+    # must have exactly one bound entry, with the per-pair bound.
+    rng = random.Random(2005)
+    widened = repacked = 0
+    for _ in range(150):
+        words = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        queue = PairQueue(distance)
+        templates, removed, fresh = {}, [], count()
+        for _ in range(rng.randint(1, 50)):
+            roll = rng.random()
+            if queue.live and roll < 0.35:
+                ident = rng.choice(sorted(queue.live))
+                del queue.live[ident]
+                removed.append(ident)
+                continue
+            if removed and roll < 0.5:
+                ident = removed.pop(rng.randrange(len(removed)))
+            else:
+                ident = next(fresh)
+            if ident in templates and rng.random() < 0.5:
+                t = templates[ident]
+            else:
+                t = rng.choice((
+                    random_template(rng, words, max_len=rng.choice((4, 10, 40))),
+                    Template(),
+                    template(*rng.choices((0, 1, 2), k=rng.randint(1, 3))),
+                ))
+            templates[ident] = t
+            width, packed = queue._width, len(queue._fields)
+            queue.add(ident, t)
+            widened += queue._width > width
+            repacked += len(queue._fields) <= packed
+        live = queue.live
+        expected = [
+            (frozenset((a, b)), distance_lower_bound(live[a], live[b]))
+            for a, b in itertools.combinations(live, 2)
+        ]
+        assert Counter(live_bound_entries(queue)) == Counter(expected)
+        for a, b in itertools.combinations(live, 2):
+            assert distance_lower_bound(live[a], live[b]) <= distance(live[a], live[b])
+    assert widened > 50 and repacked > 100
+
+
+def test_queue_drops_the_entries_of_an_id_added_again():
     templates = [tokenize(text) for text in ("a b", "a c", "b c")]
 
     def pops(readd):
@@ -211,4 +308,5 @@ def test_queue_brings_back_the_entries_of_an_id_added_again():
         return sorted(pair for _, *pair in iter(queue.pop, None))
 
     assert pops(readd=False) == [[0, 2]]
-    assert pops(readd=True) == [[0, 1], [0, 1], [0, 2], [1, 2], [1, 2]]
+    # The pairs of the first add of id 1 are gone with it: each live pair comes out once.
+    assert pops(readd=True) == [[0, 1], [0, 2], [1, 2]]

@@ -10,7 +10,16 @@ import random
 
 import pytest
 
-from gramtree.merge import distance, distance_lower_bound, merge_all, merge_templates
+from gramtree.merge import (
+    _alignment,
+    _best_alignment,
+    _gap_count,
+    _rank,
+    _trimmed_ends,
+    distance,
+    merge_all,
+    merge_templates,
+)
 from gramtree.template import (
     Slot,
     Template,
@@ -22,7 +31,7 @@ from gramtree.template import (
     tokenize,
 )
 
-from conftest import random_template, template
+from conftest import distance_lower_bound, random_template, template
 
 
 def brute_force_merge_stats(t1: Template, t2: Template):
@@ -253,6 +262,43 @@ def test_distance_lower_bound_is_exact_on_sentences_one_edit_apart():
     # Slots are left out of the LCS: 3 - 2 + 1 - 0, below the distance 3.
     t1, t2 = template("a", 0, "b"), template("a b c")
     assert (distance_lower_bound(t1, t2), distance(t1, t2)) == (2, 3)
+
+
+def breaks_length_bound(t1: Template, t2: Template) -> bool:
+    """Whether the best alignment of the differing cores is longer than both."""
+    if t2.canonical_key < t1.canonical_key:
+        t1, t2 = t2, t1
+    lo, hi = _trimmed_ends(t1.elements, t2.elements)
+    ka, kb = t1.match_keys[lo : len(t1) - hi], t2.match_keys[lo : len(t2) - hi]
+    core = _best_alignment(ka, kb)
+    return len(core) + _gap_count(core, len(ka), len(kb)) > max(len(ka), len(kb))
+
+
+def alignment_distance(t1: Template, t2: Template) -> int:
+    """The distance counted on the merge alignment itself."""
+    if t2.canonical_key < t1.canonical_key:
+        t1, t2 = t2, t1
+    _, slots_minus_tokens, _ = _rank(*_alignment.__wrapped__(t1, t2), t1.match_keys)
+    return (
+        max(token_count(t1), token_count(t2))
+        + slots_minus_tokens
+        - min(slot_count(t1), slot_count(t2))
+    )
+
+
+def test_distance_read_off_the_score_matches_the_alignment():
+    # Up to 14 elements from 1-4 words and 3 slot ids; identical ends are
+    # common, and a few hundred pairs break the length bound.
+    rng = random.Random(2020)
+    pairs = [LENGTH_BOUND_PAIR]
+    for _ in range(20_000):
+        vocabulary = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        pairs.append(tuple(random_template(rng, vocabulary, max_len=14) for _ in range(2)))
+    fallbacks = 0
+    for t1, t2 in pairs:
+        assert distance.__wrapped__(t1, t2) == alignment_distance(t1, t2), (str(t1), str(t2))
+        fallbacks += breaks_length_bound(t1, t2)
+    assert fallbacks > 200
 
 
 def _product(words, n):
