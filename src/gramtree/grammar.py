@@ -1,9 +1,10 @@
-"""Non-recursive context-free grammars with Tracery-style JSON I/O.
+r"""Non-recursive context-free grammars with Tracery-style JSON I/O.
 
 Rule bodies reference other rules as ``#name#``; the start symbol is the
 rule named ``origin``. Modifier suffixes (``#name.capitalize#``) are
-stripped down to the bare name. Sentences are compared in whitespace-
-normalised form throughout.
+stripped down to the bare name. In a word, ``\#`` stands for ``#`` and
+``\\`` for ``\``; any other backslash is literal. Sentences are compared in
+whitespace-normalised form throughout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .template import normalize_sentence
 
 DEFAULT_CAP = 1_000_000
 
-_REFERENCE = re.compile(r"#([^#]*)#")
+_MARK = re.compile(r"\\[\\#]|#")  # an escape, or a '#' that opens or closes a reference
+_ESCAPE = re.compile(r"\\([\\#])")
 _ACTION = re.compile(r"\[[^\]]*:[^\]]*\]")
 
 
@@ -50,6 +52,8 @@ class Grammar:
         if self.start not in self.rules:
             raise GrammarFormatError(f"start symbol {self.start!r} has no rule")
         for name, productions in self.rules.items():
+            if not productions:
+                raise GrammarFormatError(f"rule {name!r} has no alternatives")
             for production in productions:
                 for symbol in production:
                     if isinstance(symbol, NonTerminal) and symbol.name not in self.rules:
@@ -87,7 +91,8 @@ def parse_tracery(json_text: str) -> Grammar:
 
     Raises:
         GrammarFormatError: malformed JSON, missing ``origin``, unbalanced
-            ``#``, or a reference to an undefined rule.
+            ``#``, a rule with no alternatives, or a reference to an
+            undefined rule.
         UnsupportedGrammarError: Tracery actions like ``[var:...]``.
     """
     try:
@@ -118,21 +123,26 @@ def _parse_body(rule_name: str, body: str) -> Production:
         raise UnsupportedGrammarError(
             f"rule {rule_name!r} uses unsupported Tracery action syntax: {body!r}"
         )
-    if body.count("#") % 2 != 0:
+    marks = [m.start() for m in _MARK.finditer(body) if m.group() == "#"]
+    if len(marks) % 2 != 0:
         raise GrammarFormatError(f"rule {rule_name!r} has an unbalanced '#': {body!r}")
     symbols: list[Symbol] = []
     pos = 0
-    for match in _REFERENCE.finditer(body):
-        for word in body[pos : match.start()].split():
-            symbols.append(Terminal(word))
-        name = match.group(1).split(".", 1)[0]
+    for start, end in zip(marks[::2], marks[1::2]):
+        symbols.extend(_terminals(body[pos:start]))
+        name = body[start + 1 : end].split(".", 1)[0]
         if not name:
             raise GrammarFormatError(f"rule {rule_name!r} has an empty reference: {body!r}")
         symbols.append(NonTerminal(name))
-        pos = match.end()
-    for word in body[pos:].split():
-        symbols.append(Terminal(word))
+        pos = end + 1
+    symbols.extend(_terminals(body[pos:]))
     return tuple(symbols)
+
+
+def _terminals(text: str) -> list[Symbol]:
+    if "\\" in text:
+        text = _ESCAPE.sub(lambda m: m.group(1), text)
+    return [Terminal(word) for word in text.split()]
 
 
 def to_tracery(grammar: Grammar) -> str:
@@ -151,8 +161,17 @@ def to_tracery(grammar: Grammar) -> str:
 
 
 def production_text(production: Production) -> str:
-    """A production as a Tracery rule body (``#name#`` for non-terminals)."""
-    return " ".join(s.text if isinstance(s, Terminal) else f"#{s.name}#" for s in production)
+    r"""A production as a Tracery rule body (``#name#`` for non-terminals).
+
+    ``\`` and ``#`` in a terminal are escaped, so ``parse_tracery`` reads
+    the body back.
+    """
+    return " ".join(
+        s.text.replace("\\", "\\\\").replace("#", "\\#")
+        if isinstance(s, Terminal)
+        else f"#{s.name}#"
+        for s in production
+    )
 
 
 def reference_order(

@@ -154,19 +154,21 @@ def _rewrite_value(value: Value, mapping: SlotReplacement) -> Value:
     )
 
 
-def _rewrite_all(values: SlotValues, mapping: SlotReplacement) -> None:
-    for uid in list(values):
-        values[uid] = {_rewrite_value(v, mapping) for v in values[uid]}
-
-
 def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int) -> None:
-    """Drop slot ``old`` for ``new`` from the values, the replacement and every reference."""
+    """Drop slot ``old`` for ``new`` from the values, the replacement and every reference.
+
+    Only the value sets that reference ``old`` are rebuilt; rewriting any
+    other set would leave it as it is.
+    """
     del values[old]
-    for source, target in list(replacement.items()):
+    for source, target in replacement.items():
         if target == old:
             replacement[source] = new
     replacement[old] = new
-    _rewrite_all(values, {old: new})
+    ref = Slot(old)
+    for uid, vs in values.items():
+        if any(ref in v for v in vs):
+            values[uid] = {_rewrite_value(v, {old: new}) for v in vs}
 
 
 def _jaccard(a: set[Value], b: set[Value]) -> float:
@@ -284,7 +286,7 @@ def simplify_slot_values(values: SlotValues) -> SlotValues:
     slot are dropped, and a slot whose value set is exactly ``{[<k>]}``
     is replaced by ``k`` everywhere.
     """
-    simplified, _, _ = _simplify(values)
+    simplified, _ = _simplify(values, {})
     return simplified
 
 
@@ -294,10 +296,10 @@ def _slot_ref(value: Value) -> int | None:
     return None
 
 
-def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement, bool]:
-    """``simplify_slot_values``, plus the aliases retired and whether anything changed."""
+def _simplify(values: SlotValues, replacement: SlotReplacement) -> tuple[SlotValues, bool]:
+    """``simplify_slot_values``, retiring aliases into ``replacement``, plus
+    whether anything changed."""
     values = {uid: set(vs) for uid, vs in values.items()}
-    replacement: SlotReplacement = {}
     for rounds in count():
         changed = False
 
@@ -345,7 +347,7 @@ def _simplify(values: SlotValues) -> tuple[SlotValues, SlotReplacement, bool]:
                     changed = True
 
         if not changed:
-            return values, replacement, rounds > 0
+            return values, rounds > 0
 
 
 def _slot_fixpoint(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
@@ -356,10 +358,10 @@ def _slot_fixpoint(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotRe
     combined: SlotReplacement = {}
     for _ in range(MAX_PASSES):
         values, merged = merge_similar_slots(values, ratio)
-        values, aliases, simplified = _simplify(values)
-        # A step retires only live slots, never a key of ``combined``.
-        for step in (merged, aliases):
-            combined = {old: step.get(target, target) for old, target in combined.items()} | step
+        # A merge retires only live slots, never a key of ``combined``; the
+        # aliases are retired into ``combined``, which redirects its entries.
+        combined = {old: merged.get(target, target) for old, target in combined.items()} | merged
+        values, simplified = _simplify(values, combined)
         # A merge pass leaves nothing for a second one to merge, so only a
         # change by simplification calls for another round.
         if not simplified:
@@ -439,36 +441,26 @@ def _collapse(
 
 def _is_instantiation(parent: Template, child: Template, values: SlotValues) -> bool:
     """True when ``child`` keeps at least one of ``parent``'s slots and is
-    obtainable from ``parent`` by filling other slots with known values."""
-    shared = set(slot_ids(parent)) & set(slot_ids(child))
-    if not shared:
+    obtainable from ``parent`` by filling other slots with known values.
+
+    One forward pass over ``parent`` keeps the set of child positions where
+    a match of the parent's prefix can end, so no recursion grows with the
+    template's length.
+    """
+    if set(slot_ids(parent)).isdisjoint(slot_ids(child)):
         return False
-    p, c = parent.elements, child.elements
-
-    seen: set[tuple[int, int]] = set()
-
-    def match(pi: int, ci: int) -> bool:
-        if (pi, ci) in seen:
+    c = child.elements
+    ends = {0}
+    for e in parent.elements:
+        # a token, or a slot kept verbatim
+        step = {ci + 1 for ci in ends if ci < len(c) and c[ci] == e}
+        if isinstance(e, Slot):
+            for value in values.get(e.uid, ()):
+                step.update(ci + len(value) for ci in ends if c[ci : ci + len(value)] == value)
+        if not step:
             return False
-        if pi == len(p):
-            return ci == len(c)
-        e = p[pi]
-        if isinstance(e, Token):
-            ok = ci < len(c) and c[ci] == e and match(pi + 1, ci + 1)
-        else:
-            ok = False
-            if ci < len(c) and c[ci] == e and match(pi + 1, ci + 1):
-                ok = True  # slot kept verbatim
-            if not ok:
-                for value in values.get(e.uid, ()):
-                    if c[ci : ci + len(value)] == value and match(pi + 1, ci + len(value)):
-                        ok = True
-                        break
-        if not ok:
-            seen.add((pi, ci))
-        return ok
-
-    return match(0, 0)
+        ends = step
+    return len(c) in ends
 
 
 # ---------------------------------------------------------------------------

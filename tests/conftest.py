@@ -39,6 +39,10 @@ FIG1_SENTENCES = frozenset(
 
 TWO_BY_TWO = ["hello world", "hello people", "hi world", "hi people"]
 
+# Words holding the characters that a Tracery rule body must escape.
+HASHTAGS = ["I love #python", "I love #rust", "you love #python", "you love #rust"]
+BACKSLASHES = ["dir C:\\temp\\", "dir C:\\#1", "ls C:\\temp\\", "ls C:\\#1"]
+
 # The benchmark's 4-slot grammar: 10/8/10/6 values, 4,800 sentences.
 DEEP_LANGUAGE = sorted(
     f"the a{a} b{b} went to the c{c} with d{d}"

@@ -5,7 +5,7 @@ import pytest
 from gramtree.cli import main
 from gramtree.grammar import enumerate_language, parse_tracery
 
-from conftest import FIG1_JSON, FIG1_SENTENCES, TWO_BY_TWO
+from conftest import FIG1_JSON, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
 
 
 @pytest.fixture
@@ -33,6 +33,14 @@ def test_induce_to_file(corpus, tmp_path, capsys):
     assert main(["induce", str(corpus), "--out", str(out)]) == 0
     grammar = parse_tracery(out.read_text(encoding="utf-8"))
     assert enumerate_language(grammar).sentences == frozenset(TWO_BY_TWO)
+
+
+def test_induced_hashtags_enumerate_back(tmp_path, capsys):
+    corpus, grammar = tmp_path / "hashtags.txt", tmp_path / "grammar.json"
+    corpus.write_text("\n".join(HASHTAGS) + "\n", encoding="utf-8")
+    assert main(["induce", str(corpus), "--ratio", "1.0", "--out", str(grammar)]) == 0
+    assert main(["enumerate", str(grammar)]) == 0
+    assert capsys.readouterr().out.splitlines() == sorted(HASHTAGS)
 
 
 def test_induce_missing_file_is_usage_error(tmp_path, capsys):
@@ -137,6 +145,13 @@ def test_recursive_grammar_exit_code(tmp_path, capsys):
     recursive = tmp_path / "rec.json"
     recursive.write_text(json.dumps({"origin": "#origin# x"}), encoding="utf-8")
     assert main(["enumerate", str(recursive)]) == 2
+
+
+def test_rule_without_alternatives_exit_code(tmp_path, capsys):
+    empty_rule = tmp_path / "empty_rule.json"
+    empty_rule.write_text(json.dumps({"origin": "a #B#", "B": []}), encoding="utf-8")
+    assert main(["generate", str(empty_rule), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "gramtree: rule 'B' has no alternatives\n"
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):

@@ -20,7 +20,7 @@ from gramtree.grammar import (
 )
 from gramtree.induction import induce_grammar
 
-from conftest import FIG1_SENTENCES, TWO_BY_TWO
+from conftest import BACKSLASHES, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
 
 
 def test_parse_fig1(fig1_grammar):
@@ -76,6 +76,24 @@ def test_parse_rejects_unbalanced_hash():
         parse_tracery(json.dumps({"origin": "a #T# b #", "T": ["x"]}))
 
 
+def test_parse_reads_escaped_hash_and_backslash():
+    # \# and \\ are literal characters, any other backslash is kept, and
+    # an escaped '#' neither opens a reference nor counts as unbalanced.
+    grammar = parse_tracery(json.dumps({"origin": r"C:\path a\#b \\x\\ #T#", "T": [r"\#"]}))
+    assert grammar.rules["origin"][0] == (
+        Terminal("C:\\path"),
+        Terminal("a#b"),
+        Terminal("\\x\\"),
+        NonTerminal("T"),
+    )
+    assert grammar.rules["T"] == ((Terminal("#"),),)
+
+
+def test_parse_rejects_rule_without_alternatives():
+    with pytest.raises(GrammarFormatError, match="rule 'B' has no alternatives"):
+        parse_tracery(json.dumps({"origin": "a #B#", "B": []}))
+
+
 def test_to_tracery_round_trip_language(fig1_grammar):
     reparsed = parse_tracery(to_tracery(fig1_grammar))
     assert enumerate_language(reparsed).sentences == enumerate_language(fig1_grammar).sentences
@@ -87,9 +105,11 @@ def test_to_tracery_single_rule_is_string():
 
 
 def test_to_tracery_induced_round_trip():
-    induced = induce_grammar(TWO_BY_TWO, ratio=1.0)
-    reparsed = parse_tracery(to_tracery(induced))
-    assert enumerate_language(reparsed).sentences == frozenset(TWO_BY_TWO)
+    for corpus in (TWO_BY_TWO, HASHTAGS, BACKSLASHES):
+        induced = induce_grammar(corpus, ratio=1.0)
+        reparsed = parse_tracery(to_tracery(induced))
+        assert reparsed == induced
+        assert enumerate_language(reparsed).sentences == frozenset(corpus)
 
 
 def test_check_nonrecursive_fig1(fig1_grammar):

@@ -336,6 +336,18 @@ def test_collapse_contracts_filled_chain():
     assert all(c.is_leaf for c in collapsed.children)
 
 
+def test_collapse_a_long_template_without_recursion():
+    # The parent and its child hold <A> w x1200, 1,201 elements: the child
+    # keeps slot 0 and is deleted. A check that recursed once per element
+    # raised RecursionError here.
+    words = " ".join(["w"] * 1200)
+    child = TemplateTreeNode(template(0, words), [leaf("x " + words), leaf("y " + words)])
+    root = TemplateTreeNode(template(0, words), [child])
+    collapsed = collapse_tree(root, {0: {value("x"), value("y")}}, {})
+    assert [c.template for c in collapsed.children] == [template("x " + words), template("y " + words)]
+    assert len(collapsed.template) == 1201
+
+
 def test_collapse_is_idempotent():
     tree = diamond_tree()
     tree.template = template(1, 0)

@@ -8,10 +8,13 @@ walks per collapse pass repeated until nothing changes, value-set
 snapshots, and a bijection walk. Each pair must agree exactly, on whole
 inductions too. Collapse needs a closed slot replacement, one whose targets
 are never replaced themselves; the slot merge and the slot fixpoint are
-checked to return one.
+checked to return one. Collapse's instantiation check is one forward pass
+against a memoised recursion over the parent, and retiring a slot rewrites
+only the value sets that reference it, against a rewrite of every set.
 """
 
 import random
+from collections import Counter
 from itertools import count
 
 import pytest
@@ -22,6 +25,7 @@ from gramtree.grammar import to_tracery
 from gramtree.induction import (
     MAX_PASSES,
     _is_instantiation,
+    _retire,
     _rewrite_value,
     _simplify,
     _slot_fixpoint,
@@ -29,9 +33,10 @@ from gramtree.induction import (
     extract_slot_values,
     induce_grammar,
     merge_similar_slots,
+    value_key,
 )
 from gramtree.merge import _alignment, _gap_count, _rank, merge_all, remap_new_slots
-from gramtree.template import Slot, Template, Token
+from gramtree.template import Slot, Template, Token, slot_ids
 from gramtree.tree import (
     TemplateTreeNode,
     copy_tree,
@@ -447,7 +452,8 @@ def reference_slot_fixpoint(values, ratio):
         before = {uid: frozenset(vs) for uid, vs in values.items()}
         values, merged_repl = merge_similar_slots(values, ratio)
         fold(merged_repl)
-        values, simplified_repl, _ = _simplify(values)
+        simplified_repl = {}
+        values, _ = _simplify(values, simplified_repl)
         fold(simplified_repl)
         unchanged = (
             not merged_repl
@@ -497,3 +503,99 @@ def test_slot_fixpoint_matches_the_snapshot_reference(ratio):
         values = random_values(rng)
         expected = outcome(reference_slot_fixpoint, values, ratio)
         assert outcome(_slot_fixpoint, values, ratio) == expected, values
+
+
+# ---------------------------------------------------------------------------
+# instantiation check and retire: a recursive matcher, whole-map rewrites
+
+
+def reference_is_instantiation(parent, child, values):
+    if not set(slot_ids(parent)) & set(slot_ids(child)):
+        return False
+    p, c = parent.elements, child.elements
+    seen = set()
+
+    def match(pi, ci):
+        if (pi, ci) in seen:
+            return False
+        if pi == len(p):
+            return ci == len(c)
+        e = p[pi]
+        if isinstance(e, Token):
+            ok = ci < len(c) and c[ci] == e and match(pi + 1, ci + 1)
+        else:
+            ok = ci < len(c) and c[ci] == e and match(pi + 1, ci + 1)
+            if not ok:
+                ok = any(
+                    c[ci : ci + len(value)] == value and match(pi + 1, ci + len(value))
+                    for value in values.get(e.uid, ())
+                )
+        if not ok:
+            seen.add((pi, ci))
+        return ok
+
+    return match(0, 0)
+
+
+def reference_retire(values, replacement, old, new):
+    del values[old]
+    for source, target in list(replacement.items()):
+        if target == old:
+            replacement[source] = new
+    replacement[old] = new
+    for uid in list(values):
+        values[uid] = {_rewrite_value(v, {old: new}) for v in values[uid]}
+
+
+def instantiation_case(rng):
+    """A parent over slots 0-2, known values for some of them, and a child
+    that mostly fills the parent's slots with known values or keeps them."""
+    words = ("a", "b", "c")[: rng.randint(1, 3)]
+    parent = random_template(rng, words, max_len=7)
+    values = {
+        uid: {random_template(rng, words, max_len=2).elements for _ in range(rng.randint(1, 3))}
+        for uid in rng.sample(range(3), rng.randint(0, 3))
+    }
+    if rng.random() < 0.2:
+        return parent, random_template(rng, words, max_len=9), values
+    parts = []
+    for e in parent.elements:
+        known = sorted(values.get(e.uid, ()), key=value_key) if isinstance(e, Slot) else ()
+        if known and rng.random() < 0.6:
+            parts.extend(rng.choice(known))
+        elif isinstance(e, Slot) and rng.random() < 0.1:
+            parts.extend(random_template(rng, words, max_len=2).elements)
+        else:
+            parts.append(e)
+    return parent, Template(tuple(parts)), values
+
+
+def test_instantiation_check_matches_the_recursive_reference():
+    rng = random.Random(1440)
+    outcomes = Counter()
+    for _ in range(6000):
+        parent, child, values = instantiation_case(rng)
+        expected = reference_is_instantiation(parent, child, values)
+        assert _is_instantiation(parent, child, values) == expected, (parent, child, values)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 1500, outcomes
+
+
+def test_retire_matches_the_whole_map_rewrite():
+    rng = random.Random(162)
+    rewrites = 0
+    for _ in range(2000):
+        values = random_values(rng)
+        if len(values) < 2:
+            continue
+        old, new = rng.sample(sorted(values), 2)
+        # earlier retirements: ids past the live ones, aimed at live slots
+        replacement = {10 + k: rng.choice(sorted(values)) for k in range(rng.randint(0, 3))}
+        got = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
+        expected = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
+        _retire(*got, old, new)
+        reference_retire(*expected, old, new)
+        assert got == expected, (values, replacement, old, new)
+        assert [list(m) for m in got] == [list(m) for m in expected]
+        rewrites += any(Slot(old) in v for uid, vs in values.items() if uid != old for v in vs)
+    assert rewrites > 300
