@@ -2,8 +2,9 @@ r"""Non-recursive context-free grammars with Tracery-style JSON I/O.
 
 Rule bodies reference other rules as ``#name#``; the start symbol is the
 rule named ``origin``. Modifier suffixes (``#name.capitalize#``) are
-stripped down to the bare name. In a word, ``\#`` stands for ``#`` and
-``\\`` for ``\``; any other backslash is literal. Sentences are compared in
+stripped down to the bare name. In a word, ``\#`` stands for ``#``, ``\[``
+for ``[`` and ``\\`` for ``\``; any other backslash is literal, and an
+escaped ``[`` never opens a Tracery action. Sentences are compared in
 whitespace-normalised form throughout.
 """
 
@@ -21,9 +22,9 @@ from .template import normalize_sentence
 
 DEFAULT_CAP = 1_000_000
 
-_MARK = re.compile(r"\\[\\#]|#")  # an escape, or a '#' that opens or closes a reference
-_ESCAPE = re.compile(r"\\([\\#])")
-_ACTION = re.compile(r"\[[^\]]*:[^\]]*\]")
+_MARK = re.compile(r"\\[\\#[]|#")  # an escape, or a '#' that opens or closes a reference
+_ESCAPE = re.compile(r"\\([\\#[])")
+_ACTION = re.compile(r"\[[^\]]*:[^\]]*\]")  # searched for with the escapes taken out
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def parse_tracery(json_text: str) -> Grammar:
 
 
 def _parse_body(rule_name: str, body: str) -> Production:
-    if _ACTION.search(body):
+    if _ACTION.search(_ESCAPE.sub("", body)):
         raise UnsupportedGrammarError(
             f"rule {rule_name!r} uses unsupported Tracery action syntax: {body!r}"
         )
@@ -163,11 +164,11 @@ def to_tracery(grammar: Grammar) -> str:
 def production_text(production: Production) -> str:
     r"""A production as a Tracery rule body (``#name#`` for non-terminals).
 
-    ``\`` and ``#`` in a terminal are escaped, so ``parse_tracery`` reads
-    the body back.
+    ``\``, ``#`` and ``[`` in a terminal are escaped, so ``parse_tracery``
+    reads the body back.
     """
     return " ".join(
-        s.text.replace("\\", "\\\\").replace("#", "\\#")
+        s.text.replace("\\", "\\\\").replace("#", "\\#").replace("[", "\\[")
         if isinstance(s, Terminal)
         else f"#{s.name}#"
         for s in production

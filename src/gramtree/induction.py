@@ -154,11 +154,11 @@ def _rewrite_value(value: Value, mapping: SlotReplacement) -> Value:
     )
 
 
-def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int) -> None:
+def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int) -> set[int]:
     """Drop slot ``old`` for ``new`` from the values, the replacement and every reference.
 
     Only the value sets that reference ``old`` are rebuilt; rewriting any
-    other set would leave it as it is.
+    other set would leave it as it is. Returns the slots it rebuilt.
     """
     del values[old]
     for source, target in replacement.items():
@@ -166,9 +166,10 @@ def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int
             replacement[source] = new
     replacement[old] = new
     ref = Slot(old)
-    for uid, vs in values.items():
-        if any(ref in v for v in vs):
-            values[uid] = {_rewrite_value(v, {old: new}) for v in vs}
+    rewritten = {uid for uid, vs in values.items() if any(ref in v for v in vs)}
+    for uid in rewritten:
+        values[uid] = {_rewrite_value(v, {old: new}) for v in values[uid]}
+    return rewritten
 
 
 def _jaccard(a: set[Value], b: set[Value]) -> float:
@@ -207,75 +208,66 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     slot reference graph cyclic (and hence the grammar recursive) is
     skipped.
 
-    Overlaps are scored incrementally. Qualifying pairs wait in a heap
-    stamped with both slots' versions. Above ratio 0 only slots that share
+    Overlaps are scored incrementally. Above ratio 0 only slots that share
     a value can qualify, so a slot's partners come from an index of value
     to slots (the candidate filter of all-pairs similarity search; Bayardo,
     Ma & Srikant, 2007); at ratio 0 every other slot is a partner. A merge
-    changes the value sets of the kept slot and of every slot whose values
-    referenced the dropped one, so only those slots get a new version and
-    only their pairs are scored again; entries with an old version are
-    skipped when popped. The merges are the ones that rescoring every pair
-    after each merge would make, in the same order.
+    changes only the kept slot and the slots ``_retire`` rewrote, so only
+    their pairs are scored again. The index is add-only: a slot stays
+    listed under the values it lost, but those name the retired slot, so
+    no live slot looks them up. A popped pair counts only if both slots
+    are live and its overlap is the live one: a pair whose overlap changed
+    was scored again, and a stale entry with an unchanged overlap sits
+    where the fresh one does. The merges and their order are those of
+    rescoring every pair after each merge.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")
     values = {uid: set(vs) for uid, vs in values.items()}
     replacement: SlotReplacement = {}
-    # value -> slots holding it; all empty sets share the key None, since
-    # two empty sets overlap fully
+    # value -> slots that have held it; all empty sets share the key None,
+    # since two empty sets overlap fully, and at ratio 0, where every pair
+    # qualifies, every slot is filed under None alone
     holders: defaultdict[Value | None, set[int]] = defaultdict(set)
-    # slot id -> slots whose values reference it
-    referrers: defaultdict[int, set[int]] = defaultdict(set)
-    version = dict.fromkeys(values, 0)
-    heap: list[tuple[float, int, int, int, int]] = []
+    heap: list[tuple[float, int, int]] = []
 
-    def reindex(uid: int, op) -> None:
-        for key in values[uid] or (None,):
-            op(holders[key], uid)
-        for ref in _ref_edges(values[uid]):
-            op(referrers[ref], uid)
+    def keys(uid: int) -> Iterable[Value | None]:
+        return (values[uid] or (None,)) if ratio > 0.0 else (None,)
 
-    def partners(uid: int) -> set[int]:
-        if ratio == 0.0:
-            return values.keys() - {uid}
-        return {p for key in values[uid] or (None,) for p in holders[key]} - {uid}
+    def index(uids: Iterable[int]) -> None:
+        for uid in uids:
+            for key in keys(uid):
+                holders[key].add(uid)
 
-    def score(a: int, b: int) -> None:
-        if (overlap := _jaccard(values[a], values[b])) >= ratio:
-            heappush(heap, (-overlap, a, b, version[a], version[b]))
+    def score(pairs: set[tuple[int, int]]) -> None:
+        for a, b in pairs:
+            if (overlap := _jaccard(values[a], values[b])) >= ratio:
+                heappush(heap, (-overlap, a, b))
 
-    for uid in values:
-        reindex(uid, set.add)
-    groups = [values.keys()] if ratio == 0.0 else holders.values()
-    for a, b in {(a, b) for group in groups for a in group for b in group if a < b}:
-        score(a, b)
-
-    while True:
-        # Skip entries with an old version. A pair the guard rejects is
-        # dropped for good: a merge only contracts the reference graph (the
-        # kept slot keeps its self-references), so the cycle stays.
-        while heap:
-            _, keep, drop, v_keep, v_drop = heappop(heap)
-            if (
-                version.get(keep) == v_keep
-                and version.get(drop) == v_drop
-                and _merge_keeps_acyclic(values, keep, drop)
-            ):
-                break
-        else:
-            return values, replacement
-        dirty = (referrers[drop] | {keep}) - {drop}
-        for uid in dirty | {drop}:
-            reindex(uid, set.discard)
-        values[keep] |= values[drop]
-        _retire(values, replacement, drop, keep)
-        del version[drop]
-        for uid in dirty:
-            version[uid] += 1
-            reindex(uid, set.add)
-        for a, b in {(min(uid, p), max(uid, p)) for uid in dirty for p in partners(uid)}:
-            score(a, b)
+    index(values)
+    score({(a, b) for group in holders.values() for a in group for b in group if a < b})
+    while heap:
+        # A pair the guard rejects is dropped for good: a merge only
+        # contracts the reference graph (the kept slot keeps its
+        # self-references), so the cycle stays.
+        negative, keep, drop = heappop(heap)
+        if (
+            keep in values
+            and drop in values
+            and _jaccard(values[keep], values[drop]) == -negative
+            and _merge_keeps_acyclic(values, keep, drop)
+        ):
+            values[keep] |= values[drop]
+            dirty = _retire(values, replacement, drop, keep) | {keep}
+            index(dirty)
+            score({
+                (a, b) if a < b else (b, a)
+                for a in dirty
+                for key in keys(a)
+                for b in holders[key]
+                if b != a and b in values
+            })
+    return values, replacement
 
 
 def simplify_slot_values(values: SlotValues) -> SlotValues:

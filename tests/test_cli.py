@@ -5,7 +5,7 @@ import pytest
 from gramtree.cli import main
 from gramtree.grammar import enumerate_language, parse_tracery
 
-from conftest import FIG1_JSON, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
+from conftest import BRACKETS, FIG1_JSON, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
 
 
 @pytest.fixture
@@ -41,6 +41,14 @@ def test_induced_hashtags_enumerate_back(tmp_path, capsys):
     assert main(["induce", str(corpus), "--ratio", "1.0", "--out", str(grammar)]) == 0
     assert main(["enumerate", str(grammar)]) == 0
     assert capsys.readouterr().out.splitlines() == sorted(HASHTAGS)
+
+
+def test_induced_brackets_enumerate_back(tmp_path, capsys):
+    corpus, grammar = tmp_path / "brackets.txt", tmp_path / "grammar.json"
+    corpus.write_text("\n".join(BRACKETS) + "\n", encoding="utf-8")
+    assert main(["induce", str(corpus), "--ratio", "1.0", "--out", str(grammar)]) == 0
+    assert main(["enumerate", str(grammar)]) == 0
+    assert capsys.readouterr().out.splitlines() == sorted(BRACKETS)
 
 
 def test_induce_missing_file_is_usage_error(tmp_path, capsys):

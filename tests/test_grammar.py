@@ -20,7 +20,7 @@ from gramtree.grammar import (
 )
 from gramtree.induction import induce_grammar
 
-from conftest import BACKSLASHES, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
+from conftest import BACKSLASHES, BRACKETS, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
 
 
 def test_parse_fig1(fig1_grammar):
@@ -89,6 +89,15 @@ def test_parse_reads_escaped_hash_and_backslash():
     assert grammar.rules["T"] == ((Terminal("#"),),)
 
 
+def test_parse_reads_escaped_bracket_as_a_word():
+    # \[ is a literal '[' that never opens an action; after an escaped
+    # backslash an unescaped '[' still does.
+    grammar = parse_tracery(json.dumps({"origin": r"see \[a:b] \[x"}))
+    assert grammar.rules["origin"][0] == (Terminal("see"), Terminal("[a:b]"), Terminal("[x"))
+    with pytest.raises(UnsupportedGrammarError, match="origin"):
+        parse_tracery(json.dumps({"origin": r"see \\[a:b]"}))
+
+
 def test_parse_rejects_rule_without_alternatives():
     with pytest.raises(GrammarFormatError, match="rule 'B' has no alternatives"):
         parse_tracery(json.dumps({"origin": "a #B#", "B": []}))
@@ -105,7 +114,7 @@ def test_to_tracery_single_rule_is_string():
 
 
 def test_to_tracery_induced_round_trip():
-    for corpus in (TWO_BY_TWO, HASHTAGS, BACKSLASHES):
+    for corpus in (TWO_BY_TWO, HASHTAGS, BACKSLASHES, BRACKETS):
         induced = induce_grammar(corpus, ratio=1.0)
         reparsed = parse_tracery(to_tracery(induced))
         assert reparsed == induced

@@ -1,3 +1,4 @@
+import copy
 import logging
 import random
 
@@ -25,6 +26,7 @@ from gramtree.tree import (
 )
 
 from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, random_template, run_python, template
+from test_slot_merge import random_values
 
 
 def leaf(text):
@@ -358,6 +360,29 @@ def test_collapse_is_idempotent():
     collapsed = collapse_tree(tree, values, {2: 0, 3: 1})
     again = collapse_tree(collapsed, values, {2: 0, 3: 1})
     assert tree_equal(collapsed, again)
+
+
+def test_slot_functions_leave_their_inputs_unchanged():
+    # The slot fixpoint passes each step's input on, and the benchmark
+    # counts a merge's slots before it from the map it passed in.
+    tree = prune_redundant_children(learn_template_tree(deep_corpus(60)))
+    tree_before = copy.deepcopy(tree)
+    values = extract_slot_values(tree)
+    assert tree_equal(tree, tree_before)
+    rng = random.Random(15)
+    for ratio, given in [(0.5, values)] + [(k % 5 / 4, random_values(rng)) for k in range(200)]:
+        before = copy.deepcopy(given)
+        merged, _ = merge_similar_slots(given, ratio)
+        assert given == before
+        merged_before = copy.deepcopy(merged)
+        simplify_slot_values(merged)
+        assert merged == merged_before
+    merged, replacement = merge_similar_slots(values, 0.5)
+    simplified = simplify_slot_values(merged)
+    before = copy.deepcopy((simplified, replacement))
+    collapse_tree(tree, simplified, replacement)
+    assert tree_equal(tree, tree_before)
+    assert (simplified, replacement) == before
 
 
 def test_induce_two_by_two():

@@ -593,9 +593,10 @@ def test_retire_matches_the_whole_map_rewrite():
         replacement = {10 + k: rng.choice(sorted(values)) for k in range(rng.randint(0, 3))}
         got = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
         expected = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
-        _retire(*got, old, new)
+        rewritten = _retire(*got, old, new)
         reference_retire(*expected, old, new)
         assert got == expected, (values, replacement, old, new)
+        assert rewritten == {uid for uid, vs in expected[0].items() if vs != values[uid]}
         assert [list(m) for m in got] == [list(m) for m in expected]
         rewrites += any(Slot(old) in v for uid, vs in values.items() if uid != old for v in vs)
     assert rewrites > 300

@@ -1,9 +1,11 @@
 """Incremental slot merging against the eager reference.
 
-``merge_similar_slots`` keeps qualifying pairs in a heap and rescores only
-the pairs of slots whose value sets a merge changed. The eager loop below
-rescores and re-sorts every pair after each merge; both must make the
-same merges in the same order.
+``merge_similar_slots`` keeps qualifying pairs in a heap of
+``(-overlap, a, b)`` and rescores only the pairs of the slots a merge
+changed: the kept slot and the slots ``_retire`` rewrote. Its value index
+is add-only, and a popped pair counts only if both slots are live and its
+overlap is the live one. The eager loop below rescores and re-sorts every
+pair after each merge; both must make the same merges in the same order.
 """
 
 import random
@@ -90,6 +92,62 @@ def test_merge_rescores_pairs_whose_values_were_rewritten():
     expected = ({0: {value("x"), value("y")}, 2: {value(0), value("z")}}, {1: 0, 3: 2})
     assert eager_merge_similar_slots(values, 1.0) == expected
     assert merge_similar_slots(values, 1.0) == expected
+
+
+def test_merge_takes_a_queued_pair_whose_slots_were_both_rewritten():
+    # Merging 1 into 0 rewrites "a <1>" to "a <0>" in slots 2 and 3. Their
+    # overlap stays 1/3, so the entry queued before the merge and the one
+    # scored after it are the same choice.
+    values = {
+        0: {value("x"), value("y")},
+        1: {value("x"), value("y")},
+        2: {value("a", 1), value("b")},
+        3: {value("a", 1), value("c")},
+    }
+    expected = (
+        {0: {value("x"), value("y")}, 2: {value("a", 0), value("b"), value("c")}},
+        {1: 0, 3: 2},
+    )
+    assert eager_merge_similar_slots(values, 0.25) == expected
+    assert merge_similar_slots(values, 0.25) == expected
+
+
+def test_merge_finds_a_pair_through_a_slot_listed_under_a_lost_value():
+    # Merging 1 into 0 rewrites slot 2's "a <1>" to "a <0>"; the index still
+    # lists slot 2 under "a <1>" and now under "a <0>" too. Merging 4 into 0
+    # then rewrites slot 3 to "a <0>", where it finds slot 2. The pair
+    # (1, 4) is still queued when slot 1 is gone.
+    values = {
+        0: {value("x"), value("y")},
+        1: {value("x"), value("y")},
+        4: {value("x"), value("y")},
+        2: {value("a", 1), value("p")},
+        3: {value("a", 4), value("q")},
+    }
+    expected = (
+        {0: {value("x"), value("y")}, 2: {value("a", 0), value("p"), value("q")}},
+        {1: 0, 4: 0, 3: 2},
+    )
+    assert eager_merge_similar_slots(values, 0.25) == expected
+    assert merge_similar_slots(values, 0.25) == expected
+
+
+def test_merge_skips_a_queued_pair_whose_overlap_fell():
+    # (2, 3) is queued at 2/4. Merging 1 into 0 folds "a <1>" into "a <0>"
+    # in both slots: their overlap falls to 1/3, and (2, 5) rises from 2/5
+    # to 2/4, tying the old entry. Merging 5 into 2 then takes (2, 3) to
+    # 1/4, below the ratio; taking the old entry first would merge 3 into
+    # 2 as well.
+    values = {
+        0: {value("x"), value("y")},
+        1: {value("x"), value("y")},
+        2: {value("a", 1), value("a", 0), value("p"), value("q")},
+        3: {value("a", 1), value("a", 0)},
+        5: {value("p"), value("q"), value("r")},
+    }
+    expected_replacement = {1: 0, 5: 2}
+    assert eager_merge_similar_slots(values, 0.3)[1] == expected_replacement
+    assert merge_similar_slots(values, 0.3) == eager_merge_similar_slots(values, 0.3)
 
 
 def test_merge_takes_the_next_pair_when_the_guard_rejects_the_top_one():
