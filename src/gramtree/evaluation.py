@@ -35,7 +35,8 @@ class ExperimentConfig:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+        sizes = tuple(self.sample_sizes)
+        object.__setattr__(self, "sample_sizes", sizes)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.cap < 1:
@@ -44,8 +45,8 @@ class ExperimentConfig:
             raise ValueError("ratio must be within [0, 1]")
         if self.max_height is not None and self.max_height < 1:
             raise ValueError("max_height must be >= 1")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be a non-empty list of positive sizes")
+        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+            raise ValueError("sample sizes must be a non-empty list of distinct positive sizes")
 
 
 @dataclass(frozen=True)

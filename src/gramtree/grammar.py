@@ -149,15 +149,19 @@ def _terminals(text: str) -> list[Symbol]:
 def to_tracery(grammar: Grammar) -> str:
     """Serialise to the Tracery JSON dialect (inverse of parse_tracery).
 
-    The start rule is emitted as ``origin`` first, the rest in sorted
-    order; single-alternative rules are written as plain strings.
+    The start rule is emitted first as ``origin``, and so is every reference
+    to it; the rest follow in sorted order. Single-alternative rules are
+    written as plain strings. Another rule named ``origin`` is a
+    ``GrammarFormatError``.
     """
-    ordered = [grammar.start] + sorted(n for n in grammar.rules if n != grammar.start)
+    start = grammar.start
+    if start != "origin" and "origin" in grammar.rules:
+        raise GrammarFormatError(f"rule 'origin' is not the start rule {start!r}")
+    rename = {NonTerminal(start): NonTerminal("origin")}
     payload: dict[str, object] = {}
-    for name in ordered:
-        key = "origin" if name == grammar.start else name
-        bodies = [production_text(p) for p in grammar.rules[name]]
-        payload[key] = bodies[0] if len(bodies) == 1 else bodies
+    for name in [start] + sorted(n for n in grammar.rules if n != start):
+        bodies = [production_text(tuple(rename.get(s, s) for s in p)) for p in grammar.rules[name]]
+        payload["origin" if name == start else name] = bodies[0] if len(bodies) == 1 else bodies
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 

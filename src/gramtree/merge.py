@@ -12,9 +12,9 @@ Both are exact on every input: no count of alignments is capped.
 
 The distance needs only the counts of a best alignment, and the program's
 best score encodes them, so it builds no alignment where the bound holds.
-``PairQueue`` finds closest pairs for tree learning and ``merge_all``: it
-bounds a new template against all queued ones in one packed LCS pass and
-scores a pair exactly only when its bound reaches the top.
+Tree learning and ``merge_all`` merge the pairs a ``PairQueue`` pops; a pop
+takes both templates. The queue bounds each new template against all queued
+ones in one packed LCS pass and scores a pair only when its bound is on top.
 """
 
 from __future__ import annotations
@@ -377,13 +377,13 @@ _POPCOUNTS = bytes(byte.bit_count() for byte in range(256))
 
 
 class PairQueue:
-    """The closest pairs of live templates, scored lazily (lazy greedy; Minoux, 1978).
+    """Live templates by id, and their closest pairs (lazy greedy; Minoux, 1978).
 
     ``add`` queues a template against every live one with a lower bound on
-    their distance. ``pop`` computes a pair's exact ``score`` only when its
-    entry reaches the top with both ids still live, and drops unscored the
-    entries of ids that are gone or have been added again since, so most
-    queued pairs are never scored and no pair is scored twice.
+    their distance. ``pop`` takes the closest live pair, whose ids stop
+    being live. It scores a pair exactly only when its entry reaches the
+    top with both templates live and drops unscored the entries of ones
+    taken or added again since: most pairs are never scored, none twice.
 
     The bound: ``L``, the longest common subsequence of the two token
     sequences (slots removed), bounds the merge's tokens, ``l_m <= L``. If
@@ -407,11 +407,11 @@ class PairQueue:
     """
 
     def __init__(self, score: Callable[[Template, Template], int]) -> None:
-        self.live: dict[Hashable, Template] = {}
         self._score = score
-        # One field per add: (generation, id, template, tokens, slots).
-        self._current: dict[Hashable, tuple] = {}  # id -> the field of its latest add
-        self._generations = count()
+        # One field per add: (sequence number, id, template, tokens, slots).
+        self._seqs = count()
+        self._live: dict[Hashable, int] = {}  # live id -> the sequence number of its add
+        self._alive: set[int] = set()  # the sequence numbers of the live fields
         self._fields: list[tuple] = []  # in packed order
         self._width = 1  # bytes per packed field
         self._masks: dict[str, int] = {}  # token text -> its packed positions
@@ -420,11 +420,20 @@ class PairQueue:
         self._buckets: dict[int, tuple[list, list]] = {}
         self._values: list[int] = []
 
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __contains__(self, ident: Hashable) -> bool:
+        return ident in self._live
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._live)
+
     def add(self, ident: Hashable, template: Template) -> None:
         """Make ``template`` live as ``ident`` and queue it against every live template."""
         tokens, slots = token_count(template), slot_count(template)
-        field = (next(self._generations), ident, template, tokens, slots)
-        if tokens >= 8 * self._width or len(self._fields) > 2 * len(self.live):
+        field = (next(self._seqs), ident, template, tokens, slots)
+        if tokens >= 8 * self._width or len(self._fields) > 2 * len(self._live):
             self._repack(max(self._width, tokens // 8 + 1))
         fields, width, full = self._fields, self._width, self._full
         v = full  # the zero bits of v count the LCS so far
@@ -436,26 +445,26 @@ class PairQueue:
         # A field's LCS is the popcount of its bytes of full ^ v.
         popcounts = (full ^ v).to_bytes(len(fields) * width, "little").translate(_POPCOUNTS)
         lcs_counts = map(sum, zip(*(popcounts[k::width] for k in range(width))))
-        current, buckets = self._current, self._buckets
-        alive = {current[other][0] for other in self.live}
+        alive, buckets = self._alive, self._buckets
+        alive.discard(self._live.get(ident))  # adding a live id again replaces it
         for other, lcs in zip(fields, lcs_counts):
             if other[0] in alive:
                 top = tokens if tokens > other[3] else other[3]
                 bound = top - lcs + (lcs < top) - (slots if slots < other[4] else other[4])
                 (buckets.get(bound) or self._bucket(bound))[0].append((other, field))
         self._pack(field)
-        current[ident] = field
-        self.live[ident] = template
+        alive.add(field[0])
+        self._live[ident] = field[0]
 
     def pop(self, limit: float = inf) -> tuple[int, Hashable, Hashable] | None:
-        """The closest live pair ``(value, id, id)`` within ``limit``, ids ascending, or None."""
-        buckets, values = self._buckets, self._values
+        """Take the closest live pair ``(value, id, id)`` within ``limit``, ids ascending, or None."""
+        buckets, values, alive = self._buckets, self._values, self._alive
         while values and values[0] <= limit:
             value = values[0]
             bounds, exact = buckets[value]
             while bounds:
                 f1, f2 = bounds.pop()
-                if not self._is_live(f1, f2):
+                if f1[0] not in alive or f2[0] not in alive:
                     continue
                 if f2[1] < f1[1]:
                     f1, f2 = f2, f1
@@ -464,11 +473,13 @@ class PairQueue:
                 keys = (k, ku) if k <= ku else (ku, k)
                 score = self._score(t, u)
                 bucket = buckets.get(score) or self._bucket(score)
-                heappush(bucket[1], (*keys, f1[1], f2[1], f1[0], f2[0], f1, f2))
+                heappush(bucket[1], (*keys, f1[1], f2[1], f1[0], f2[0]))
             while exact:
-                *_, f1, f2 = heappop(exact)
-                if self._is_live(f1, f2):
-                    return value, f1[1], f2[1]
+                *_, id1, id2, seq1, seq2 = heappop(exact)
+                if seq1 in alive and seq2 in alive:
+                    alive.difference_update((seq1, seq2))
+                    del self._live[id1], self._live[id2]
+                    return value, id1, id2
             del buckets[value]
             heappop(values)
         return None
@@ -478,11 +489,6 @@ class PairQueue:
         self._buckets[value] = bucket = ([], [])
         heappush(self._values, value)
         return bucket
-
-    def _is_live(self, f1: tuple, f2: tuple) -> bool:
-        """Whether both fields are the latest of their ids and both ids are live."""
-        current, live = self._current, self.live
-        return current[f1[1]] is f1 and current[f2[1]] is f2 and f1[1] in live and f2[1] in live
 
     def _pack(self, field: tuple) -> None:
         """Append ``field``, its template's token masks at the next offset."""
@@ -494,9 +500,8 @@ class PairQueue:
         self._fields.append(field)
 
     def _repack(self, width: int) -> None:
-        """Pack the fields of the live ids again, ``width`` bytes each."""
-        current, live = self._current, self.live
-        fields = [f for f in self._fields if current[f[1]] is f and f[1] in live]
+        """Pack the live fields again, ``width`` bytes each."""
+        fields = [f for f in self._fields if f[0] in self._alive]
         self._fields, self._width, self._masks, self._full = [], width, {}, 0
         for field in fields:
             self._pack(field)
@@ -516,13 +521,13 @@ def merge_all(templates: tuple[Template, ...]) -> Template:
     if not templates:
         raise ValueError("merge_all requires at least one template")
     fresh = count(max((uid for t in templates for uid in slot_ids(t)), default=-1) + 1)
-    seqs = count()
+    pool = list(templates)  # a template's id is its index
     queue = PairQueue(distance)
-    for t in templates:
-        queue.add(next(seqs), t)
-    live = queue.live
-    while len(live) > 1:
-        _, s1, s2 = queue.pop()
-        pair = (live.pop(s1), live.pop(s2))
-        queue.add(next(seqs), remap_new_slots(merge_templates(*pair).merged, pair, fresh))
-    return next(iter(live.values()))
+    for ident, t in enumerate(pool):
+        queue.add(ident, t)
+    while len(queue) > 1:
+        _, i, j = queue.pop()
+        pair = (pool[i], pool[j])
+        pool.append(remap_new_slots(merge_templates(*pair).merged, pair, fresh))
+        queue.add(len(pool) - 1, pool[-1])
+    return pool[-1]

@@ -3,8 +3,8 @@
 A template tree is learned bottom-up: all distinct input sentences start as
 leaves, and the closest pair of parentless templates is repeatedly merged
 until a single root remains. Every merge records the merged nodes as
-children of the node holding the merge result. The closest pairs come from
-:class:`gramtree.merge.PairQueue`, which scores them lazily.
+children of the node holding the merge result. The parentless templates
+live in a :class:`gramtree.merge.PairQueue`: a pop takes the closest pair.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
+from math import inf
 from typing import Iterable
 
 from .merge import PairQueue, distance, merge_templates, remap_new_slots
@@ -118,11 +119,11 @@ def learn_template_tree(
 ) -> TemplateTreeNode:
     """Learn a template tree from input sentences.
 
-    Duplicates (after whitespace normalisation) are dropped. Each round
-    takes every minimally distant pair of active templates, in lexicographic
-    order, merges those whose members were not already consumed this round,
-    and enqueues the merge results against the remaining active templates.
-    Merge results that come out syntactically identical share one node.
+    Duplicates (after whitespace normalisation) are dropped. A round pops
+    the closest pair of active templates, which takes both, and merges it,
+    then does so with each pair at that distance, in lexicographic order.
+    The round's merge results are then enqueued; those that come out
+    syntactically identical share one node.
 
     Args:
         texts: input sentences, at least one.
@@ -144,34 +145,23 @@ def learn_template_tree(
         leaf = TemplateTreeNode(tokenize(text), leaf_text=text)
         nodes[leaf.template.canonical_key] = leaf
         queue.add(leaf.template.canonical_key, leaf.template)
-    live = queue.live
 
-    while len(live) > 1:
-        band = [queue.pop()]
-        while (pair := queue.pop(band[0][0])) is not None:
-            band.append(pair)
-
-        fresh: dict[tuple, TemplateTreeNode] = {}
-        for _, k1, k2 in band:
-            if k1 not in live or k2 not in live:
-                continue  # a member was merged away earlier this round
-            del live[k1], live[k2]
+    while len(queue) > 1:
+        d_min, fresh = inf, {}
+        while (pair := queue.pop(d_min)) is not None:
+            d_min, k1, k2 = pair
             n1, n2 = nodes[k1], nodes[k2]
             result = merge_templates(n1.template, n2.template)
             merged = remap_new_slots(result.merged, (n1.template, n2.template), fresh_ids)
             key = merged.canonical_key
-            if key in live:
-                nodes[key].children.extend((n1, n2))
-            elif key in fresh:
-                fresh[key].children.extend((n1, n2))
-            else:
-                fresh[key] = TemplateTreeNode(merged, [n1, n2])
+            node = nodes[key] if key in queue else fresh.setdefault(key, TemplateTreeNode(merged))
+            node.children.extend((n1, n2))
 
         for key in sorted(fresh):
             nodes[key] = fresh[key]
             queue.add(key, fresh[key].template)
 
-    root = nodes[next(iter(live))]
+    root = nodes[next(iter(queue))]
     if max_height is not None:
         root = limit_height(root, max_height)
     return root

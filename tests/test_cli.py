@@ -139,6 +139,13 @@ def test_eval_empty_sizes_is_usage_error(fig1_file, capsys):
     assert "sample sizes" in captured.err
 
 
+def test_eval_duplicate_sizes_is_usage_error(fig1_file, capsys):
+    assert main(["eval", str(fig1_file), "--sizes", "6,6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distinct positive sizes" in captured.err
+
+
 def test_eval_oversized_sample_is_usage_error(fig1_file, capsys):
     assert main(["eval", str(fig1_file), "--sizes", "100"]) == 1
 

@@ -121,6 +121,36 @@ def test_to_tracery_induced_round_trip():
         assert enumerate_language(reparsed).sentences == frozenset(corpus)
 
 
+def test_to_tracery_renames_references_to_the_start():
+    grammar = Grammar(
+        "S",
+        {
+            "S": ((NonTerminal("A"),),),
+            "A": ((Terminal("x"),),),
+            "B": ((NonTerminal("S"), Terminal("y")),),
+        },
+    )
+    assert json.loads(to_tracery(grammar)) == {"origin": "#A#", "A": "x", "B": "#origin# y"}
+    reparsed = parse_tracery(to_tracery(grammar))
+    assert enumerate_language(reparsed).sentences == frozenset({"x"})
+    assert reparsed.rules["B"] == ((NonTerminal("origin"), Terminal("y")),)
+    assert parse_tracery(to_tracery(reparsed)) == reparsed
+
+
+def test_to_tracery_rejects_a_second_rule_named_origin():
+    grammar = Grammar(
+        "S",
+        {
+            "S": ((NonTerminal("A"),),),
+            "A": ((Terminal("x"),),),
+            "origin": ((Terminal("y"),),),
+            "B": ((NonTerminal("S"),),),
+        },
+    )
+    with pytest.raises(GrammarFormatError, match="'origin' is not the start rule 'S'"):
+        to_tracery(grammar)
+
+
 def test_check_nonrecursive_fig1(fig1_grammar):
     check = check_nonrecursive(fig1_grammar)
     assert check.ok

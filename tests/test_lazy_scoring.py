@@ -190,8 +190,9 @@ def queue_order(templates, i, j):
 
 def test_queue_pops_pairs_in_eager_order():
     # Few words, so shapes repeat and ties run down to the ids; ids are
-    # added out of order, and removed ids come back with their old
-    # template or a new one.
+    # added out of order, a pop takes both ids of its pair, and taken ids
+    # come back with their old template or a new one. Every two live ids
+    # were queued against each other when the later of them was added.
     rng = random.Random(1978)
     scored = queued = readded = 0
 
@@ -204,33 +205,33 @@ def test_queue_pops_pairs_in_eager_order():
         words = ("a", "b", "c")[: rng.randint(1, 3)]
         ids = rng.sample(range(1000), 40)
         queue = PairQueue(counted)
-        templates, pending, removed = {}, set(), set()
+        templates, taken = {}, set()
 
         def add(ident, t):
             nonlocal queued
             templates[ident] = t
-            pending.update(frozenset((ident, other)) for other in queue.live)
-            queued += len(queue.live)
+            queued += len(queue)
             queue.add(ident, t)
 
         for _ in range(rng.randint(2, 10)):
             add(ids.pop(), random_template(rng, words, max_len=5))
         for _ in range(60):
-            live_pairs = [tuple(p) for p in pending if p <= queue.live.keys()]
-            eager = min((queue_order(templates, *p) for p in live_pairs), default=None)
+            live = set(queue)
+            assert len(queue) == len(live) and all(ident in queue for ident in live)
+            pairs = itertools.combinations(live, 2)
+            eager = min((queue_order(templates, *p) for p in pairs), default=None)
             limit = rng.choice((float("inf"), rng.randint(0, 4)))
             popped = queue.pop(limit)
             if eager is None or eager[0] > limit:
                 assert popped is None
+                assert set(queue) == live
             else:
                 assert popped == (eager[0], *eager[-2:])
-                pending.discard(frozenset(popped[1:]))
-                for ident in rng.sample(popped[1:], rng.randint(0, 2)):
-                    del queue.live[ident]
-                    removed.add(ident)
-            if removed and rng.random() < 0.2:
-                ident = rng.choice(sorted(removed))
-                removed.discard(ident)
+                assert set(queue) == live - set(popped[1:])
+                taken.update(popped[1:])
+            if taken and rng.random() < 0.2:
+                ident = rng.choice(sorted(taken))
+                taken.discard(ident)
                 readded += 1
                 add(ident, rng.choice((templates[ident], random_template(rng, words, max_len=5))))
             elif ids and rng.random() < 0.5:
@@ -239,36 +240,44 @@ def test_queue_pops_pairs_in_eager_order():
     assert readded > 1000
 
 
-def live_bound_entries(queue):
-    """``(id pair, bound)`` of each queued bound entry whose ids are live and not added again since."""
-    return [
-        (frozenset((f1[1], f2[1])), value)
-        for value, (bounds, _) in queue._buckets.items()
-        for f1, f2 in bounds
-        if queue._is_live(f1, f2)
-    ]
+def live_entries(queue):
+    """``(id pair, value, exact)`` of each queued entry whose two templates are live."""
+    alive = queue._alive
+    entries = []
+    for value, (bounds, exact) in queue._buckets.items():
+        for f1, f2 in bounds:
+            if f1[0] in alive and f2[0] in alive:
+                entries.append((frozenset((f1[1], f2[1])), value, False))
+        for *_, id1, id2, seq1, seq2 in exact:
+            if seq1 in alive and seq2 in alive:
+                entries.append((frozenset((id1, id2)), value, True))
+    return entries
 
 
 def test_packed_bounds_match_the_per_pair_bound():
-    # Random adds, deletions and re-adds: templates with no tokens or only
-    # slots, templates too long for the fields packed so far (a widen), and
-    # runs of deletions (a repack). Nothing is popped, so every live pair
-    # must have exactly one bound entry, with the per-pair bound.
+    # Random adds, pops and re-adds of taken or live ids: templates with
+    # no tokens or only slots, templates too long for the fields packed so
+    # far (a widen), and runs of pops (a repack). A pop scores the bounds of
+    # every bucket it passes, so every live pair must have exactly one
+    # entry: a bound equal to the per-pair bound, or an exact one equal to
+    # distance.
     rng = random.Random(2005)
-    widened = repacked = 0
+    widened = repacked = exact = 0
     for _ in range(150):
         words = ("a", "b", "c", "d")[: rng.randint(1, 4)]
         queue = PairQueue(distance)
-        templates, removed, fresh = {}, [], count()
+        templates, taken, fresh = {}, [], count()
         for _ in range(rng.randint(1, 50)):
             roll = rng.random()
-            if queue.live and roll < 0.35:
-                ident = rng.choice(sorted(queue.live))
-                del queue.live[ident]
-                removed.append(ident)
+            if len(queue) > 1 and roll < 0.35:
+                popped = queue.pop(rng.choice((float("inf"), rng.randint(0, 3))))
+                if popped is not None:
+                    taken.extend(popped[1:])
                 continue
-            if removed and roll < 0.5:
-                ident = removed.pop(rng.randrange(len(removed)))
+            if taken and roll < 0.5:
+                ident = taken.pop(rng.randrange(len(taken)))
+            elif len(queue) and roll < 0.55:
+                ident = rng.choice(sorted(queue))  # replaces its live template
             else:
                 ident = next(fresh)
             if ident in templates and rng.random() < 0.5:
@@ -284,29 +293,32 @@ def test_packed_bounds_match_the_per_pair_bound():
             queue.add(ident, t)
             widened += queue._width > width
             repacked += len(queue._fields) <= packed
-        live = queue.live
-        expected = [
-            (frozenset((a, b)), distance_lower_bound(live[a], live[b]))
-            for a, b in itertools.combinations(live, 2)
-        ]
-        assert Counter(live_bound_entries(queue)) == Counter(expected)
+        entries = live_entries(queue)
+        live = {ident: templates[ident] for ident in queue}
+        assert Counter(pair for pair, _, _ in entries) == Counter(
+            frozenset(p) for p in itertools.combinations(live, 2)
+        )
+        for pair, value, is_exact in entries:
+            t, u = (live[ident] for ident in pair)
+            assert value == (distance(t, u) if is_exact else distance_lower_bound(t, u))
+            exact += is_exact
         for a, b in itertools.combinations(live, 2):
             assert distance_lower_bound(live[a], live[b]) <= distance(live[a], live[b])
-    assert widened > 50 and repacked > 100
+    assert widened > 50 and repacked > 100 and exact > 100
 
 
 def test_queue_drops_the_entries_of_an_id_added_again():
-    templates = [tokenize(text) for text in ("a b", "a c", "b c")]
-
-    def pops(readd):
-        queue = PairQueue(distance)
-        for ident, t in enumerate(templates):
-            queue.add(ident, t)
-        del queue.live[1]
-        if readd:
-            queue.add(1, templates[1])
-        return sorted(pair for _, *pair in iter(queue.pop, None))
-
-    assert pops(readd=False) == [[0, 2]]
-    # The pairs of the first add of id 1 are gone with it: each live pair comes out once.
-    assert pops(readd=True) == [[0, 1], [0, 2], [1, 2]]
+    # Ids 0 and 1 are taken as the closest pair, then added again far
+    # apart: the entry of their old pair must not come out.
+    a_b, a_c, far, near_far = (tokenize(text) for text in ("a b", "a c", "x y z", "x y z w v"))
+    queue = PairQueue(distance)
+    for ident, t in enumerate((a_b, a_c, far)):
+        queue.add(ident, t)
+    assert queue.pop() == (distance(a_b, a_c), 0, 1)
+    assert list(queue) == [2] and 0 not in queue
+    queue.add(1, near_far)
+    queue.add(0, a_b)
+    assert sorted(queue) == [0, 1, 2]
+    assert distance(far, near_far) > distance(a_b, a_c)  # the old pair would come out first
+    assert queue.pop() == (distance(far, near_far), 1, 2)
+    assert list(queue) == [0] and queue.pop() is None
