@@ -151,8 +151,8 @@ def to_tracery(grammar: Grammar) -> str:
 
     The start rule is emitted first as ``origin``, and so is every reference
     to it; the rest follow in sorted order. Single-alternative rules are
-    written as plain strings. Another rule named ``origin`` is a
-    ``GrammarFormatError``.
+    written as plain strings. Another rule named ``origin``, or a reference
+    ``#name#`` cannot hold (``a.b``, ``a#b``), is a ``GrammarFormatError``.
     """
     start = grammar.start
     if start != "origin" and "origin" in grammar.rules:
@@ -160,7 +160,15 @@ def to_tracery(grammar: Grammar) -> str:
     rename = {NonTerminal(start): NonTerminal("origin")}
     payload: dict[str, object] = {}
     for name in [start] + sorted(n for n in grammar.rules if n != start):
-        bodies = [production_text(tuple(rename.get(s, s) for s in p)) for p in grammar.rules[name]]
+        productions = [tuple(rename.get(s, s) for s in p) for p in grammar.rules[name]]
+        for ref in sorted({s.name for p in productions for s in p if isinstance(s, NonTerminal)}):
+            try:
+                ok = _parse_body(name, f"#{ref}#") == (NonTerminal(ref),)
+            except UnsupportedGrammarError:  # and GrammarFormatError, its subclass
+                ok = False
+            if not ok:
+                raise GrammarFormatError(f"rule {name!r} references {ref!r}, unwritable as #name#")
+        bodies = [production_text(p) for p in productions]
         payload["origin" if name == start else name] = bodies[0] if len(bodies) == 1 else bodies
     return json.dumps(payload, ensure_ascii=False, indent=2)
 

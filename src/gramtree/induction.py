@@ -25,7 +25,6 @@ from .grammar import (
     Terminal,
     check_nonrecursive,
     production_text,
-    reference_order,
 )
 from .merge import merge_all, remap_new_slots
 from .template import (
@@ -154,11 +153,13 @@ def _rewrite_value(value: Value, mapping: SlotReplacement) -> Value:
     )
 
 
-def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int) -> set[int]:
+def _retire(
+    values: SlotValues, replacement: SlotReplacement, old: int, new: int, referrers: Iterable[int]
+) -> set[int]:
     """Drop slot ``old`` for ``new`` from the values, the replacement and every reference.
 
-    Only the value sets that reference ``old`` are rebuilt; rewriting any
-    other set would leave it as it is. Returns the slots it rebuilt.
+    Only the ``referrers`` that reference ``old`` are rebuilt; the others
+    must not reference it. Returns the slots it rebuilt.
     """
     del values[old]
     for source, target in replacement.items():
@@ -166,7 +167,7 @@ def _retire(values: SlotValues, replacement: SlotReplacement, old: int, new: int
             replacement[source] = new
     replacement[old] = new
     ref = Slot(old)
-    rewritten = {uid for uid, vs in values.items() if any(ref in v for v in vs)}
+    rewritten = {uid for uid in referrers if uid in values and any(ref in v for v in values[uid])}
     for uid in rewritten:
         values[uid] = {_rewrite_value(v, {old: new}) for v in values[uid]}
     return rewritten
@@ -177,26 +178,27 @@ def _jaccard(a: set[Value], b: set[Value]) -> float:
     return len(a & b) / union if union else 1.0
 
 
-def _ref_edges(vs: set[Value]) -> set[int]:
-    return {e.uid for v in vs for e in v if isinstance(e, Slot)}
+def _references(vs: Iterable[Value], skipped: Iterable[Value] = ()) -> list[int]:
+    return [e.uid for v in vs if v not in skipped for e in v if isinstance(e, Slot)]
 
 
 def _merge_keeps_acyclic(values: SlotValues, keep: int, drop: int) -> bool:
     """Would unioning ``drop`` into ``keep`` keep slot references acyclic?
 
-    Single-element self-references are discounted (simplification removes
-    them); anything else that closes a cycle would make the grammar
-    recursive, so such a merge must not happen.
+    A merge can close a cycle only through the merged slot, so the search
+    fails if the union's references, less the self-aliases ``(<keep>,)`` and
+    ``(<drop>,)`` that simplification drops, reach ``keep`` or ``drop``.
     """
-    merged = {_rewrite_value(v, {drop: keep}) for v in values[keep] | values[drop]}
-    merged.discard((Slot(keep),))
-    graph = {
-        uid: {keep if ref == drop else ref for ref in _ref_edges(vs)}
-        for uid, vs in values.items()
-        if uid not in (keep, drop)
-    }
-    graph[keep] = _ref_edges(merged)
-    return reference_order(graph)[1] is None
+    frontier = _references(values[keep] | values[drop], {(Slot(keep),), (Slot(drop),)})
+    seen: set[int] = set()
+    while frontier:
+        uid = frontier.pop()
+        if uid == keep or uid == drop:
+            return False
+        if uid not in seen and uid in values:
+            seen.add(uid)
+            frontier += _references(values[uid])
+    return True
 
 
 def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
@@ -206,7 +208,7 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     (ties on slot-id order), the union kept under the lower id, and all
     references to the removed id rewritten. A merge that would make the
     slot reference graph cyclic (and hence the grammar recursive) is
-    skipped.
+    skipped; ``_merge_keeps_acyclic`` searches only from the merged slot.
 
     Overlaps are scored incrementally. Above ratio 0 only slots that share
     a value can qualify, so a slot's partners come from an index of value
@@ -215,11 +217,13 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     changes only the kept slot and the slots ``_retire`` rewrote, so only
     their pairs are scored again. The index is add-only: a slot stays
     listed under the values it lost, but those name the retired slot, so
-    no live slot looks them up. A popped pair counts only if both slots
-    are live and its overlap is the live one: a pair whose overlap changed
-    was scored again, and a stale entry with an unchanged overlap sits
-    where the fresh one does. The merges and their order are those of
-    rescoring every pair after each merge.
+    no live slot looks them up. ``_retire`` checks only the kept slot and
+    the slots that a second add-only index lists as having referenced the
+    dropped one. A popped pair counts only if both slots are live and its
+    overlap is the live one: a pair whose overlap changed was scored again,
+    and a stale entry with an unchanged overlap sits where the fresh one
+    does. The merges and their order are those of rescoring every pair
+    after each merge.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")
@@ -229,6 +233,7 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     # since two empty sets overlap fully, and at ratio 0, where every pair
     # qualifies, every slot is filed under None alone
     holders: defaultdict[Value | None, set[int]] = defaultdict(set)
+    referrers: defaultdict[int, set[int]] = defaultdict(set)  # slot -> slots that named it
     heap: list[tuple[float, int, int]] = []
 
     def keys(uid: int) -> Iterable[Value | None]:
@@ -238,6 +243,8 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
         for uid in uids:
             for key in keys(uid):
                 holders[key].add(uid)
+            for ref in _references(values[uid]):
+                referrers[ref].add(uid)
 
     def score(pairs: set[tuple[int, int]]) -> None:
         for a, b in pairs:
@@ -247,9 +254,9 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     index(values)
     score({(a, b) for group in holders.values() for a in group for b in group if a < b})
     while heap:
-        # A pair the guard rejects is dropped for good: a merge only
-        # contracts the reference graph (the kept slot keeps its
-        # self-references), so the cycle stays.
+        # A rejected pair is dropped: its path from keep or drop back to one
+        # of them survives later merges, which contract the reference graph,
+        # until a merge changes either slot and scores the pair again.
         negative, keep, drop = heappop(heap)
         if (
             keep in values
@@ -258,7 +265,7 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
             and _merge_keeps_acyclic(values, keep, drop)
         ):
             values[keep] |= values[drop]
-            dirty = _retire(values, replacement, drop, keep) | {keep}
+            dirty = _retire(values, replacement, drop, keep, referrers[drop] | {keep}) | {keep}
             index(dirty)
             score({
                 (a, b) if a < b else (b, a)
@@ -335,7 +342,7 @@ def _simplify(values: SlotValues, replacement: SlotReplacement) -> tuple[SlotVal
             if len(values[uid]) == 1:
                 ref = _slot_ref(next(iter(values[uid])))
                 if ref is not None and ref != uid and ref in values:
-                    _retire(values, replacement, uid, ref)
+                    _retire(values, replacement, uid, ref, values)
                     changed = True
 
         if not changed:
@@ -386,9 +393,7 @@ def collapse_tree(
     if not replacement.keys().isdisjoint(replacement.values()):
         raise ValueError(f"slot replacement is not closed: {replacement}")
     root = copy_tree(tree)
-    value_ids = [uid for uid in values] + [
-        e.uid for vs in values.values() for v in vs for e in v if isinstance(e, Slot)
-    ]
+    value_ids = [*values, *_references(v for vs in values.values() for v in vs)]
     fresh = count(max([max_slot_id(root)] + value_ids, default=-1) + 1)
     _replace_template(root, replacement)
     _collapse(root, values, replacement, fresh)
@@ -506,10 +511,7 @@ def _emit_grammar(root_template: Template, values: SlotValues) -> Grammar:
         reachable.add(uid)
         if uid not in values:
             raise InternalInvariantError(f"slot {slot_label(uid)} has no extracted values")
-        for value in values[uid]:
-            for element in value:
-                if isinstance(element, Slot) and element.uid not in reachable:
-                    frontier.append(element.uid)
+        frontier += _references(values[uid])
 
     names = {uid: slot_label(rank) for rank, uid in enumerate(sorted(reachable))}
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -149,6 +150,25 @@ def test_to_tracery_rejects_a_second_rule_named_origin():
     )
     with pytest.raises(GrammarFormatError, match="'origin' is not the start rule 'S'"):
         to_tracery(grammar)
+
+
+def test_to_tracery_round_trips_a_reference_with_whitespace():
+    grammar = Grammar(
+        "origin", {"origin": ((NonTerminal("a b"), Terminal("x")),), "a b": ((Terminal("y"),),)}
+    )
+    assert json.loads(to_tracery(grammar))["origin"] == "#a b# x"
+    assert parse_tracery(to_tracery(grammar)) == grammar
+
+
+@pytest.mark.parametrize("name", ["a.b", "a#b", "a\\", "x[y:z]", ""])
+def test_to_tracery_rejects_a_reference_it_cannot_write(name):
+    y = ((Terminal("y"),),)
+    grammar = Grammar("origin", {"origin": ((Terminal("x"), NonTerminal(name)),), name: y})
+    with pytest.raises(GrammarFormatError, match=re.escape(f"rule 'origin' references {name!r}")):
+        to_tracery(grammar)
+    # Unreferenced, the same name is only a JSON key and reads back.
+    alone = Grammar("origin", {"origin": ((Terminal("x"),),), name: y})
+    assert parse_tracery(to_tracery(alone)) == alone
 
 
 def test_check_nonrecursive_fig1(fig1_grammar):

@@ -467,9 +467,10 @@ def test_induce_checks_ratio_before_learning(monkeypatch):
         induce_grammar(["a b", "a c"], ratio=-0.5)
 
 
-# Eight sentences over two words. Collapse closes a slot cycle that the slot
-# merge's acyclicity guard cannot see (ROADMAP item 3); at ratio 0, and with
-# any height cap from 1 to 3, the grammar comes out non-recursive.
+# Eight sentences over two words. At ratio 1.0 collapse closes a slot cycle
+# that the slot merge's acyclicity guard cannot see (ROADMAP item 2); at
+# ratios 0 and 0.5, and with any height cap from 1 to 3, the grammar comes
+# out non-recursive.
 RECURSIVE_CORPUS = [
     "w0 w0 w0",
     "w0 w0 w0 w0 w1 w1",
@@ -482,12 +483,16 @@ RECURSIVE_CORPUS = [
 ]
 
 
+def test_small_corpus_at_ratio_half_gives_a_nonrecursive_grammar():
+    grammar = induce_grammar(RECURSIVE_CORPUS, ratio=0.5)
+    assert frozenset(RECURSIVE_CORPUS) <= enumerate_language(grammar).sentences
+
+
 @pytest.mark.xfail(
     raises=InternalInvariantError,
     strict=True,
-    reason="known defect: induced grammar is recursive: B -> C -> B",
+    reason="known defect (ROADMAP item 2): induced grammar is recursive: B -> C -> B",
 )
-@pytest.mark.parametrize("ratio", [0.5, 1.0])
-def test_known_defect_recursive_grammar_on_a_small_corpus(ratio):
-    grammar = induce_grammar(RECURSIVE_CORPUS, ratio=ratio)
+def test_known_defect_recursive_grammar_on_a_small_corpus():
+    grammar = induce_grammar(RECURSIVE_CORPUS, ratio=1.0)
     assert frozenset(RECURSIVE_CORPUS) <= enumerate_language(grammar).sentences

@@ -593,7 +593,7 @@ def test_retire_matches_the_whole_map_rewrite():
         replacement = {10 + k: rng.choice(sorted(values)) for k in range(rng.randint(0, 3))}
         got = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
         expected = ({uid: set(vs) for uid, vs in values.items()}, dict(replacement))
-        rewritten = _retire(*got, old, new)
+        rewritten = _retire(*got, old, new, list(values))
         reference_retire(*expected, old, new)
         assert got == expected, (values, replacement, old, new)
         assert rewritten == {uid for uid, vs in expected[0].items() if vs != values[uid]}

@@ -1,4 +1,4 @@
-"""Incremental slot merging against the eager reference.
+"""Incremental slot merging and its acyclicity guard against eager references.
 
 ``merge_similar_slots`` keeps qualifying pairs in a heap of
 ``(-overlap, a, b)`` and rescores only the pairs of the slots a merge
@@ -6,6 +6,10 @@ changed: the kept slot and the slots ``_retire`` rewrote. Its value index
 is add-only, and a popped pair counts only if both slots are live and its
 overlap is the live one. The eager loop below rescores and re-sorts every
 pair after each merge; both must make the same merges in the same order.
+
+``_merge_keeps_acyclic`` searches only from the merged slot. The
+whole-graph guard below contracts the pair and looks for a cycle anywhere;
+on an acyclic map both must decide every pair alike.
 """
 
 import random
@@ -17,9 +21,11 @@ from gramtree.induction import (
     _jaccard,
     _merge_keeps_acyclic,
     _retire,
+    _rewrite_value,
     extract_slot_values,
     merge_similar_slots,
 )
+from gramtree.grammar import reference_order
 from gramtree.template import Slot, Token
 from gramtree.tree import learn_template_tree, prune_redundant_children
 
@@ -44,15 +50,33 @@ def eager_merge_similar_slots(values, ratio):
             return values, replacement
         keep, drop = chosen
         values[keep] |= values[drop]
-        _retire(values, replacement, drop, keep)
+        _retire(values, replacement, drop, keep, list(values))
+
+
+def references(vs, uid):
+    """The slots ``vs`` references, discounting the self-alias ``(<uid>,)``."""
+    return {e.uid for v in vs if v != (Slot(uid),) for e in v if isinstance(e, Slot)}
+
+
+def reference_graph(values):
+    return {uid: references(vs, uid) for uid, vs in values.items()}
+
+
+def whole_graph_keeps_acyclic(values, keep, drop):
+    """Contract ``drop`` into ``keep`` and check the whole reference graph."""
+    graph = reference_graph({uid: vs for uid, vs in values.items() if uid not in (keep, drop)})
+    graph = {uid: {keep if ref == drop else ref for ref in refs} for uid, refs in graph.items()}
+    merged = {_rewrite_value(v, {drop: keep}) for v in values[keep] | values[drop]}
+    graph[keep] = references(merged, keep)
+    return reference_order(graph)[1] is None
 
 
 def value(*parts):
     return tuple(Slot(p) if isinstance(p, int) else Token(p) for p in parts)
 
 
-def random_values(rng):
-    """2-9 slots; values of 0-2 elements, words or (one in five) slot references.
+def random_values(rng, ref_rate=0.2):
+    """2-9 slots; values of 0-2 elements, words or (a share ``ref_rate``) slot references.
 
     References may point at the slot itself or at a slot without values,
     and a value set may be empty.
@@ -60,7 +84,7 @@ def random_values(rng):
     uids = rng.sample(range(12), rng.randint(2, 9))
 
     def element():
-        return Slot(rng.choice(uids + [99])) if rng.random() < 0.2 else Token(rng.choice("abc"))
+        return Slot(rng.choice(uids + [99])) if rng.random() < ref_rate else Token(rng.choice("abc"))
 
     return {
         uid: {tuple(element() for _ in range(rng.randint(0, 2))) for _ in range(rng.randint(0, 4))}
@@ -184,12 +208,34 @@ def test_merge_scores_few_pairs(monkeypatch):
     assert 0 < calls <= s * (s - 1) // 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 3): the guard discounts a self-reference "
-    "(<k>,) only in the kept slot, so one in slot 2 rejects every merge",
-)
-def test_known_defect_a_self_reference_elsewhere_blocks_every_merge():
+def test_guard_matches_the_whole_graph_reference():
+    rng = random.Random(2009)
+    pairs = rejected = 0
+    for _ in range(4000):
+        values = random_values(rng, ref_rate=0.35)
+        if reference_order(reference_graph(values))[1] is not None:
+            continue
+        for keep in values:
+            for drop in values:
+                if keep < drop:
+                    expected = whole_graph_keeps_acyclic(values, keep, drop)
+                    got = _merge_keeps_acyclic(values, keep, drop)
+                    assert got == expected, (values, keep, drop)
+                    pairs += 1
+                    rejected += not expected
+    assert pairs > 20000 and rejected > 2000, (pairs, rejected)
+
+
+def test_guard_discounts_the_dropped_slots_self_reference():
+    # The union holds (<8>,), which the merge turns into the self-alias
+    # (<3>,); the kept slot's rewrite must reach it.
+    values = {3: {value()}, 8: {value(), value(8)}}
+    assert _merge_keeps_acyclic(values, 3, 8)
+    assert merge_similar_slots(values, 0.5) == ({3: {value(), value(3)}}, {8: 3})
+    assert merge_similar_slots(values, 0.5) == eager_merge_similar_slots(values, 0.5)
+
+
+def test_a_self_reference_elsewhere_does_not_block_a_merge():
     values = {
         0: {value("a"), value("b")},
         1: {value("a"), value("b")},
