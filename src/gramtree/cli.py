@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_corpus(path: Path) -> list[str]:
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    lines = [line.strip() for line in path.read_text(encoding="utf-8-sig").splitlines()]
     corpus = [line for line in lines if line]
     if not corpus:
         raise ValueError("corpus is empty")
@@ -114,7 +114,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "enumerate":
-        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8"))
+        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8-sig"))
         language = enumerate_language(grammar, cap=args.cap)
         for sentence in sorted(language.sentences):
             print(sentence)
@@ -123,7 +123,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "generate":
-        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8"))
+        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8-sig"))
         if args.count < 1:
             print("gramtree: --count must be >= 1", file=sys.stderr)
             return EXIT_USAGE
@@ -132,7 +132,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "eval":
-        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8"))
+        grammar = parse_tracery(args.grammar.read_text(encoding="utf-8-sig"))
         try:
             sizes = tuple(int(part) for part in args.sizes.split(",") if part.strip())
         except ValueError:

@@ -25,6 +25,10 @@ DEFAULT_SAMPLE_SIZES = (25, 50, 100)
 DEFAULT_RUNS = 5
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
@@ -37,15 +41,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         sizes = tuple(self.sample_sizes)
         object.__setattr__(self, "sample_sizes", sizes)
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not _is_int(self.runs) or self.runs < 1:
+            raise ValueError("runs must be an int >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("ratio must be within [0, 1]")
-        if self.max_height is not None and self.max_height < 1:
-            raise ValueError("max_height must be >= 1")
-        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        if self.max_height is not None and (not _is_int(self.max_height) or self.max_height < 1):
+            raise ValueError("max_height must be an int >= 1")
+        if not sizes or not all(map(_is_int, sizes)) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
             raise ValueError("sample sizes must be a non-empty list of distinct positive sizes")
 
 

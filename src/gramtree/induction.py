@@ -481,7 +481,7 @@ def induce_grammar(
         other rules are the surviving slots' value sets.
 
     Raises:
-        ValueError: ``ratio`` is outside [0, 1] or ``max_height`` below 1.
+        ValueError: ``ratio`` is outside [0, 1] or ``max_height`` is not an int >= 1.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")

@@ -5,13 +5,14 @@ and turns every maximal run of unmatched elements into a single inserted
 slot. The alignment is exact: a dynamic program with affine gap costs
 (Gotoh, 1982) finds the most matches, then the smallest ``s_m - l_m``, then
 the fewest slots, and a forward walk over its tables takes the leftmost
-such alignment. A merge may not be longer than both inputs; in the rare
-case that the best alignment breaks that bound, the same program, with the
-merge elements still allowed as a budget, finds the best one that keeps it.
+such alignment and counts its gaps. A merge may not be longer than both
+inputs. The program's best score encodes the counts of a best alignment,
+so the distance builds no alignment where that bound holds. Where it
+breaks, the same program, with the merge elements as a budget, finds the
+best alignment that keeps it: on the whole templates, and on their
+differing core too where the whole one leaves an identical end unmatched.
 Both are exact on every input: no count of alignments is capped.
 
-The distance needs only the counts of a best alignment, and the program's
-best score encodes them, so it builds no alignment where the bound holds.
 Tree learning and ``merge_all`` merge the pairs a ``PairQueue`` pops; a pop
 takes both templates. The queue bounds each new template against all queued
 ones in one packed LCS pass and scores a pair only when its bound is on top.
@@ -38,6 +39,7 @@ from .template import (
 
 Coverage = dict[int, tuple[Element, ...]]
 Pairs = tuple[tuple[int, int], ...]
+Alignment = tuple[Pairs, int]  # matched (i, j) pairs, ascending, and the runs of unmatched elements
 Keys = tuple[str | None, ...]
 Score = Callable[[int, int, int], int]
 
@@ -82,16 +84,10 @@ def distance(t1: Template, t2: Template) -> int:
     w1, gap, values = _weights(ka, len(kb))
     for row in _score_rows(ka, kb, values, gap):
         pass
-    # The best score is matches * w1 - cost with 0 <= cost < w1 and
-    # cost = w2 * (slots + matched slots) + slots, where w2 = gap - 1 is more
-    # than the merge's slots: its gaps plus its matched slots.
-    best = row[0]
-    matches = -(-best // w1)
-    slots_and_matched_slots, slots = divmod(matches * w1 - best, gap - 1)
-    gaps = 2 * slots - slots_and_matched_slots
-    if matches + gaps > max(len(ka), len(kb)):
+    if (counts := _counts(row[0], w1, gap, max(len(ka), len(kb)))) is None:
         _, slots_minus_tokens, _ = _rank(*_alignment(t1, t2), keys)
     else:
+        matches, slots, gaps = counts
         slots += keys[:lo].count(None) + keys[len(keys) - hi :].count(None)
         slots_minus_tokens = 2 * slots - (matches + lo + hi) - gaps
     return (
@@ -103,15 +99,12 @@ def distance(t1: Template, t2: Template) -> int:
 
 # Cached because collapse re-scores the pairs that tree learning scored.
 @lru_cache(maxsize=1 << 15)
-def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
-    """The merge alignment of two templates, ``t1`` first in canonical order.
-
-    Returns the matched ``(i, j)`` element index pairs, ascending, and the
-    number of gaps (maximal runs of unmatched elements) between them.
-    """
+def _alignment(t1: Template, t2: Template) -> Alignment:
+    """The merge alignment of two templates, ``t1`` first in canonical order."""
     n, m = len(t1), len(t2)
     lo, hi = _trimmed_ends(t1.elements, t2.elements)
-    ka, kb = t1.match_keys[lo : n - hi], t2.match_keys[lo : m - hi]
+    keys = t1.match_keys
+    ka, kb = keys[lo : n - hi], t2.match_keys[lo : m - hi]
 
     def untrimmed(core: Pairs) -> Pairs:
         return (
@@ -120,20 +113,22 @@ def _alignment(t1: Template, t2: Template) -> tuple[Pairs, int]:
             + tuple((n - hi + k, m - hi + k) for k in range(hi))
         )
 
-    core = _best_alignment(ka, kb)
-    gaps = _gap_count(core, len(ka), len(kb))
-    if len(core) + gaps <= max(len(ka), len(kb)):
+    w1, gap, values = _weights(ka, len(kb))
+    f = list(_score_rows(ka, kb, values, gap))[::-1]
+    if _counts(f[0][0], w1, gap, max(len(ka), len(kb))) is not None:
+        core, gaps = _forward_walk(ka, kb, values, gap, lambda i, j, r: f[i][j], room=0)
         return untrimmed(core), gaps
-    core, gaps = _bounded_alignment(ka, kb)
-    trimmed = (untrimmed(core), gaps)
-    if lo == hi == 0:
-        return trimmed
     # Under the length bound an identical end may be better left unmatched
     # (`a b b b a a a <B> <A>` against `b <A> b b <A> a <A> <B> <A>`: an `a`
-    # matches in place of the end `<B>`), so the whole templates are tried
-    # too; they win only when strictly better.
-    keys = t1.match_keys
+    # matches in place of the end `<B>`), so the whole templates go first.
+    # If their alignment matches every end in place it is also the core's:
+    # both are leftmost best, and ranks differ by a constant on such
+    # alignments. Else the core's wins unless the whole one is strictly better.
     whole = _bounded_alignment(keys, t2.match_keys)
+    if whole[0][:lo] + whole[0][len(whole[0]) - hi :] == untrimmed(()):
+        return whole
+    core, gaps = _bounded_alignment(ka, kb)
+    trimmed = (untrimmed(core), gaps)
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
 
 
@@ -153,22 +148,8 @@ def _trimmed_ends(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[int, 
     return lo, hi
 
 
-def _best_alignment(ka: Keys, kb: Keys) -> Pairs:
-    """The leftmost of the best alignments of two match-key sequences.
-
-    Elements align iff their keys (token text, or None for a slot) are
-    equal. One integer score orders alignments: each match is worth ``w1``,
-    more than any cost, and the costs rank the merge's ``s_m - l_m``, then
-    its slot count: a matched slot costs ``2 * w2 + 1``, a gap ``w2 + 1``.
-    The length bound on merges is not applied here.
-    """
-    _, gap, values = _weights(ka, len(kb))
-    f = list(_score_rows(ka, kb, values, gap))[::-1]
-    return _forward_walk(ka, kb, values, gap, lambda i, j, r: f[i][j], room=0)
-
-
 def _score_rows(ka: Keys, kb: Keys, values: list[int], gap: int) -> Iterator[list[int]]:
-    """The rows of the score table of ``_best_alignment``, bottom up: f[n], ..., f[0].
+    """The rows of the alignment score table, bottom up: f[n], ..., f[0].
 
     f[i][j]: best score of aligning ka[i:] with kb[j:] at the start or just
     after a match. g_row[j] holds the same score inside a gap, whose cost
@@ -201,14 +182,33 @@ def _score_rows(ka: Keys, kb: Keys, values: list[int], gap: int) -> Iterator[lis
 
 
 def _weights(ka: Keys, m: int) -> tuple[int, int, list[int]]:
-    """The score weights of ``_best_alignment``: ``w1``, ``gap`` and each key's match value."""
+    """The score weights: ``w1``, ``gap`` and each key's match value.
+
+    Elements align iff their keys (token text, or None for a slot) are
+    equal. One integer score orders alignments: each match is worth ``w1``,
+    more than any cost, and the costs rank the merge's ``s_m - l_m``, then
+    its slot count: a matched slot costs ``2 * w2 + 1``, a gap ``w2 + 1``.
+    """
     w2 = len(ka) + m + 2
     w1 = (2 * (len(ka) + m) + 2) * w2
     return w1, w2 + 1, [w1 - 2 * w2 - 1 if x is None else w1 for x in ka]
 
 
-def _forward_walk(ka: Keys, kb: Keys, values: list[int], gap: int, score: Score, room: int) -> Pairs:
-    """The leftmost best alignment, read forward off a filled score table.
+def _counts(best: int, w1: int, gap: int, room: int) -> tuple[int, int, int] | None:
+    """``(matches, slots, gaps)`` of a best alignment, or None if its merge is longer than ``room``.
+
+    The best score is matches * w1 - cost with 0 <= cost < w1 and
+    cost = w2 * (slots + matched slots) + slots, where w2 = gap - 1 is more
+    than the merge's slots: its gaps plus its matched slots.
+    """
+    matches = -(-best // w1)
+    slots_and_matched_slots, slots = divmod(matches * w1 - best, gap - 1)
+    gaps = 2 * slots - slots_and_matched_slots
+    return None if matches + gaps > room else (matches, slots, gaps)
+
+
+def _forward_walk(ka: Keys, kb: Keys, values: list[int], gap: int, score: Score, room: int) -> Alignment:
+    """The leftmost best alignment and its gaps, read forward off a filled score table.
 
     ``score(i, j, r)`` is the best score of aligning ``ka[i:]`` with
     ``kb[j:]`` in at most ``r`` merge elements (a match uses one, a gap one
@@ -220,7 +220,7 @@ def _forward_walk(ka: Keys, kb: Keys, values: list[int], gap: int, score: Score,
     for q, y in enumerate(kb):
         positions.setdefault(y, []).append(q)
     pairs: list[tuple[int, int]] = []
-    i = j = 0
+    i = j = gaps = 0
     r = room
     while (want := score(i, j, r)) > 0:
         if ka[i] == kb[j] and values[i] + score(i + 1, j + 1, r - 1) == want:
@@ -233,20 +233,10 @@ def _forward_walk(ka: Keys, kb: Keys, values: list[int], gap: int, score: Score,
                 if q >= j and values[p] + score(p + 1, q + 1, r - 2) == want + gap
             )
             r -= 2
+            gaps += 1
         pairs.append((p, q))
         i, j = p + 1, q + 1
-    return tuple(pairs)
-
-
-def _gap_count(core: Pairs, n: int, m: int) -> int:
-    """Maximal runs of unmatched elements around the matched pairs."""
-    gaps = 0
-    i = j = 0
-    for p, q in core:
-        if p > i or q > j:
-            gaps += 1
-        i, j = p + 1, q + 1
-    return gaps + (i < n or j < m)
+    return tuple(pairs), gaps + (i < len(ka) or j < len(kb))
 
 
 def _rank(pairs: Pairs, gaps: int, ka: Keys) -> tuple[int, int, int]:
@@ -259,12 +249,12 @@ def _rank(pairs: Pairs, gaps: int, ka: Keys) -> tuple[int, int, int]:
     return (-len(pairs), 2 * slots - len(pairs) - gaps, slots)
 
 
-def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
+def _bounded_alignment(ka: Keys, kb: Keys) -> Alignment:
     """The exact best alignment whose merge is no longer than the longer input.
 
-    The program of ``_best_alignment`` with a budget, the merge elements
-    still allowed: a match or a gap uses one. A cell holds the Pareto front
-    of ``(elements, -score)`` over its sub-alignments, fewest elements first.
+    The alignment program with a budget, the merge elements still allowed:
+    a match or a gap uses one. A cell holds the Pareto front of
+    ``(elements, -score)`` over its sub-alignments, fewest elements first.
     """
     n, m = len(ka), len(kb)
     room = max(n, m)
@@ -281,7 +271,7 @@ def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
                 kept.append((used, loss))
         return kept
 
-    # f and g as in _best_alignment, as fronts; a gap uses its element where
+    # f and g as in _score_rows, as fronts; a gap uses its element where
     # it closes. A path uses at most 2 * min(i, j) elements before (i, j).
     last_gap = [(1, gap)]
     f = [[last_gap] * (m + 1) for _ in range(n + 1)]
@@ -311,8 +301,7 @@ def _bounded_alignment(ka: Keys, kb: Keys) -> tuple[Pairs, int]:
         # The best score within ``r`` elements, or one below every real score.
         return -min((loss for used, loss in f[i][j] if used <= r), default=(n + m + 2) * w1)
 
-    core = _forward_walk(ka, kb, values, gap, score, room)
-    return core, _gap_count(core, n, m)
+    return _forward_walk(ka, kb, values, gap, score, room)
 
 
 def _build(

@@ -130,13 +130,13 @@ def learn_template_tree(
         max_height: optional bound applied with :func:`limit_height`.
 
     Raises:
-        ValueError: on an empty input set.
+        ValueError: on an empty input set, or a ``max_height`` that is not an int >= 1.
     """
     distinct = sorted({normalize_sentence(t) for t in texts})
     if not distinct:
         raise ValueError("cannot learn a template tree from an empty input set")
-    if max_height is not None and max_height < 1:
-        raise ValueError(f"max_height must be >= 1, got {max_height}")
+    if max_height is not None:
+        _check_height(max_height)
 
     fresh_ids = count()
     queue = PairQueue(distance)
@@ -193,6 +193,11 @@ def _prune(node: TemplateTreeNode) -> None:
         _prune(child)
 
 
+def _check_height(max_height: int) -> None:
+    if isinstance(max_height, bool) or not isinstance(max_height, int) or max_height < 1:
+        raise ValueError(f"max_height must be an int >= 1, got {max_height!r}")
+
+
 def limit_height(root: TemplateTreeNode, max_height: int) -> TemplateTreeNode:
     """Cut the tree to height ``max_height`` in one pass.
 
@@ -206,8 +211,7 @@ def limit_height(root: TemplateTreeNode, max_height: int) -> TemplateTreeNode:
     contracted before its ancestors, at its original depth. Leaves are
     never touched, so the leaf set is preserved. The input is not modified.
     """
-    if max_height < 1:
-        raise ValueError(f"max_height must be >= 1, got {max_height}")
+    _check_height(max_height)
     root = copy_tree(root)
     level = [root]
     for _ in range(max_height - 1):

@@ -78,6 +78,17 @@ def random_template(rng, words=("a", "b", "c"), max_len=6) -> Template:
     return template(*rng.choices(tuple(words) + (0, 1, 2), k=rng.randint(0, max_len)))
 
 
+def _gap_count(pairs, n: int, m: int) -> int:
+    """Maximal runs of unmatched elements around ascending matched pairs of ``n`` and ``m`` elements."""
+    gaps = 0
+    i = j = 0
+    for p, q in pairs:
+        if p > i or q > j:
+            gaps += 1
+        i, j = p + 1, q + 1
+    return gaps + (i < n or j < m)
+
+
 def distance_lower_bound(t1: Template, t2: Template) -> int:
     """The per-pair lower bound on ``distance`` that ``PairQueue`` packs.
 

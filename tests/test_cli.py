@@ -51,6 +51,20 @@ def test_induced_brackets_enumerate_back(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == sorted(BRACKETS)
 
 
+def test_induce_reads_a_corpus_with_a_byte_order_mark(tmp_path, capsys):
+    corpus = tmp_path / "bom.txt"
+    corpus.write_text("hello world\nhello people\n", encoding="utf-8-sig")
+    assert main(["induce", str(corpus)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"origin": "hello #A#", "A": ["people", "world"]}
+
+
+def test_enumerate_reads_a_grammar_with_a_byte_order_mark(tmp_path, capsys):
+    grammar = tmp_path / "bom.json"
+    grammar.write_text(FIG1_JSON, encoding="utf-8-sig")
+    assert main(["enumerate", str(grammar)]) == 0
+    assert set(capsys.readouterr().out.splitlines()) == set(FIG1_SENTENCES)
+
+
 def test_induce_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["induce", str(tmp_path / "nope.txt")]) == 1
 

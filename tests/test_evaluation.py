@@ -140,10 +140,16 @@ def test_run_experiment_tokenless_two_by_two_stays_sound():
         {"ratio": 1.5},
         {"ratio": -0.1},
         {"max_height": 0},
+        {"sample_sizes": (2.5,)},
+        {"sample_sizes": (True, 2)},
+        {"runs": 1.5},
+        {"runs": True},
+        {"max_height": 2.0},
     ],
     ids=[
         "no-sizes", "zero-size", "duplicate-sizes", "zero-cap", "negative-cap",
         "ratio-above-one", "negative-ratio", "zero-height",
+        "float-size", "bool-size", "float-runs", "bool-runs", "float-height",
     ],
 )
 def test_experiment_config_rejects_bad_fields(fields):

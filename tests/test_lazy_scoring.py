@@ -20,6 +20,7 @@ import gramtree.tree
 from gramtree.merge import (
     PairQueue,
     _alignment,
+    _trimmed_ends,
     distance,
     merge_all,
     merge_templates,
@@ -179,6 +180,39 @@ def test_learning_builds_alignments_only_to_merge(monkeypatch):
     _alignment.cache_clear()
     learn_template_tree(corpus)
     assert 0 < _alignment.cache_info().misses <= merges + len(fallbacks) < len(scored) // 4
+
+
+def test_fallback_pairs_run_the_bounded_program_once_unless_an_end_is_unmatched(monkeypatch):
+    # A pair whose best alignment breaks the length bound runs the bounded
+    # program on the whole templates, and on their differing core only
+    # where the whole alignment leaves an identical end unmatched.
+    corpus = deep_corpus(60)
+    calls, fallbacks = 0, set()
+    bounded = gramtree.merge._bounded_alignment
+
+    def counted_bounded(ka, kb):
+        nonlocal calls
+        calls += 1
+        return bounded(ka, kb)
+
+    def counted_distance(t1, t2):
+        if breaks_length_bound(t1, t2):
+            fallbacks.add(tuple(sorted((t1, t2), key=lambda t: t.canonical_key)))
+        return distance(t1, t2)
+
+    monkeypatch.setattr(gramtree.merge, "_bounded_alignment", counted_bounded)
+    monkeypatch.setattr(gramtree.tree, "distance", counted_distance)
+    distance.cache_clear()
+    _alignment.cache_clear()
+    learn_template_tree(corpus)
+    unmatched = 0
+    for t1, t2 in fallbacks:
+        n, m = len(t1), len(t2)
+        lo, hi = _trimmed_ends(t1.elements, t2.elements)
+        ends = tuple((k, k) for k in range(lo)) + tuple((n - hi + k, m - hi + k) for k in range(hi))
+        pairs, _ = bounded(t1.match_keys, t2.match_keys)
+        unmatched += pairs[:lo] + pairs[len(pairs) - hi :] != ends
+    assert 0 < calls <= len(fallbacks) + unmatched < 2 * len(fallbacks)
 
 
 def queue_order(templates, i, j):

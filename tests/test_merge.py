@@ -12,10 +12,12 @@ import pytest
 
 from gramtree.merge import (
     _alignment,
-    _best_alignment,
-    _gap_count,
+    _bounded_alignment,
+    _counts,
     _rank,
+    _score_rows,
     _trimmed_ends,
+    _weights,
     distance,
     merge_all,
     merge_templates,
@@ -270,8 +272,9 @@ def breaks_length_bound(t1: Template, t2: Template) -> bool:
         t1, t2 = t2, t1
     lo, hi = _trimmed_ends(t1.elements, t2.elements)
     ka, kb = t1.match_keys[lo : len(t1) - hi], t2.match_keys[lo : len(t2) - hi]
-    core = _best_alignment(ka, kb)
-    return len(core) + _gap_count(core, len(ka), len(kb)) > max(len(ka), len(kb))
+    w1, gap, values = _weights(ka, len(kb))
+    *_, row = _score_rows(ka, kb, values, gap)
+    return _counts(row[0], w1, gap, max(len(ka), len(kb))) is None
 
 
 def alignment_distance(t1: Template, t2: Template) -> int:
@@ -299,6 +302,24 @@ def test_distance_read_off_the_score_matches_the_alignment():
         assert distance.__wrapped__(t1, t2) == alignment_distance(t1, t2), (str(t1), str(t2))
         fallbacks += breaks_length_bound(t1, t2)
     assert fallbacks > 200
+
+
+def test_fallback_keeps_the_core_alignment_unless_the_whole_one_is_strictly_better():
+    # Both pairs break the length bound, and the bounded alignment of the
+    # whole templates leaves an identical end unmatched: the trailing <C>
+    # in a tie, where the core's alignment is kept, and the leading <B>
+    # where that is strictly better than matching it.
+    cases = [
+        (template(0, 1, "a", 2), template(2, "a", 0, 2), ((0, 0), (2, 1)), ((2, 1), (3, 3))),
+        (template(1, 1, "c"), template(1, "c", "a"), ((2, 1),), ((2, 1),)),
+    ]
+    for t1, t2, whole, expected in cases:
+        assert t1.canonical_key < t2.canonical_key and breaks_length_bound(t1, t2)
+        assert _bounded_alignment(t1.match_keys, t2.match_keys)[0] == whole
+        assert _alignment.__wrapped__(t1, t2)[0] == expected
+        merged = merge_templates(t1, t2).merged
+        assert (token_count(merged), slot_count(merged)) == brute_force_merge_stats(t1, t2)
+        assert distance(t1, t2) == brute_force_distance(t1, t2)
 
 
 def _product(words, n):

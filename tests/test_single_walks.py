@@ -35,7 +35,7 @@ from gramtree.induction import (
     merge_similar_slots,
     value_key,
 )
-from gramtree.merge import _alignment, _gap_count, _rank, merge_all, remap_new_slots
+from gramtree.merge import _alignment, _rank, merge_all, remap_new_slots
 from gramtree.template import Slot, Template, Token, slot_ids
 from gramtree.tree import (
     TemplateTreeNode,
@@ -47,7 +47,7 @@ from gramtree.tree import (
     tree_equal_up_to_slot_ids,
 )
 
-from conftest import deep_corpus, random_template, template
+from conftest import _gap_count, deep_corpus, random_template, template
 from test_merge import LENGTH_BOUND_PAIR
 
 

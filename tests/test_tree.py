@@ -162,6 +162,18 @@ def test_limit_height_validates_bound():
         limit_height(leaf("x"), 0)
 
 
+@pytest.mark.parametrize("height", [2.0, True, "2"])
+def test_heights_that_are_not_ints_are_rejected_before_learning(monkeypatch, height):
+    def queue(*args):
+        raise AssertionError("the tree was learned before the height was checked")
+
+    with pytest.raises(ValueError, match="max_height"):
+        limit_height(leaf("x"), height)
+    monkeypatch.setattr(gramtree.tree, "PairQueue", queue)
+    with pytest.raises(ValueError, match="max_height"):
+        learn_template_tree(["a b", "a c"], max_height=height)
+
+
 def test_learn_applies_max_height():
     root = learn_template_tree(sorted(FIG1_SENTENCES), max_height=2)
     assert tree_height(root) <= 2
