@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument check, shared across the package."""
 
 
 class GramtreeError(Exception):
@@ -27,3 +27,8 @@ class LanguageTooLargeError(UnsupportedGrammarError):
 
 class InternalInvariantError(GramtreeError):
     """An internal invariant was violated; indicates a bug."""
+
+
+def is_positive_int(value: object) -> bool:
+    """Whether ``value`` is an int >= 1; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1

@@ -17,16 +17,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import LanguageTooLargeError, RecursiveGrammarError
+from .errors import LanguageTooLargeError, RecursiveGrammarError, is_positive_int
 from .grammar import DEFAULT_CAP, Grammar, NonTerminal, check_nonrecursive, enumerate_language, rule_count
 from .induction import DEFAULT_RATIO, induce_grammar
 
 DEFAULT_SAMPLE_SIZES = (25, 50, 100)
 DEFAULT_RUNS = 5
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,15 +37,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         sizes = tuple(self.sample_sizes)
         object.__setattr__(self, "sample_sizes", sizes)
-        if not _is_int(self.runs) or self.runs < 1:
+        if not is_positive_int(self.runs):
             raise ValueError("runs must be an int >= 1")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+        if not is_positive_int(self.cap):
+            raise ValueError("cap must be >= 1 (an int)")
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("ratio must be within [0, 1]")
-        if self.max_height is not None and (not _is_int(self.max_height) or self.max_height < 1):
+        if self.max_height is not None and not is_positive_int(self.max_height):
             raise ValueError("max_height must be an int >= 1")
-        if not sizes or not all(map(_is_int, sizes)) or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        if not sizes or not all(map(is_positive_int, sizes)) or len(set(sizes)) < len(sizes):
             raise ValueError("sample sizes must be a non-empty list of distinct positive sizes")
 
 
@@ -246,6 +242,7 @@ def format_report(report: EvalReport, fmt: str = "markdown") -> str:
             "| " + " | ".join(header) + " |",
             "| " + " | ".join("---" for _ in header) + " |",
         ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
+        # A "|" in a cell (a grammar name) would split it.
+        lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
         return "\n".join(lines)
     raise ValueError(f"unknown report format: {fmt!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Iterable, Mapping, Union
 
-from .errors import GrammarFormatError, RecursiveGrammarError, UnsupportedGrammarError
+from .errors import GrammarFormatError, RecursiveGrammarError, UnsupportedGrammarError, is_positive_int
 from .template import normalize_sentence
 
 DEFAULT_CAP = 1_000_000
@@ -244,11 +244,11 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     subset of the language, not an error).
 
     Raises:
-        ValueError: ``cap`` is below 1.
+        ValueError: ``cap`` is not an int >= 1.
         RecursiveGrammarError: the grammar has a reference cycle.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    if not is_positive_int(cap):
+        raise ValueError(f"cap must be >= 1 (an int), got {cap!r}")
     check = check_nonrecursive(grammar)
     if not check.ok:
         raise RecursiveGrammarError(check.cycle)

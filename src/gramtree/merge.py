@@ -387,12 +387,14 @@ class PairQueue:
     into the next field. Fields are widened when a longer template arrives
     and repacked when dead ones outnumber the live.
 
-    Entries sit in buckets by value (Dial, 1969): the bounds in a list, the
-    exact entries in a heap. Pairs come out in ``(value, canonical keys,
-    ids)`` order, the smaller id first, and ``score`` sees them in id
-    order. A bucket's bounds are all scored or dropped before its exact
-    heap is popped, so an exact entry on top is the closest live pair, and
-    the bounds may be taken in any order.
+    One heap holds both kinds of entry. A bound entry groups the live
+    templates that an add bounds alike against the new one: ``(bound, 0,
+    sequence number, field, others)``. A scored pair is ``(value, 1,
+    canonical keys, ids, sequence numbers)``, the smaller id first, and
+    ``score`` sees it in id order. Bounds sort before scored pairs of equal
+    value, so every bound at a value is scored or dropped before a pair at
+    that value comes out: a scored pair on top is the closest live pair.
+    Pairs come out in ``(value, canonical keys, ids)`` order.
     """
 
     def __init__(self, score: Callable[[Template, Template], int]) -> None:
@@ -405,9 +407,7 @@ class PairQueue:
         self._width = 1  # bytes per packed field
         self._masks: dict[str, int] = {}  # token text -> its packed positions
         self._full = 0  # every packed token position
-        # value -> (bound entries, heap of exact entries); ``_values`` heaps the keys.
-        self._buckets: dict[int, tuple[list, list]] = {}
-        self._values: list[int] = []
+        self._heap: list[tuple] = []  # bound groups and scored pairs
 
     def __len__(self) -> int:
         return len(self._live)
@@ -419,7 +419,10 @@ class PairQueue:
         return iter(self._live)
 
     def add(self, ident: Hashable, template: Template) -> None:
-        """Make ``template`` live as ``ident`` and queue it against every live template."""
+        """Make ``template`` live as ``ident`` and queue it against every live template.
+
+        ``ident`` must not be live: an id comes back only after a pop took it.
+        """
         tokens, slots = token_count(template), slot_count(template)
         field = (next(self._seqs), ident, template, tokens, slots)
         if tokens >= 8 * self._width or len(self._fields) > 2 * len(self._live):
@@ -434,50 +437,40 @@ class PairQueue:
         # A field's LCS is the popcount of its bytes of full ^ v.
         popcounts = (full ^ v).to_bytes(len(fields) * width, "little").translate(_POPCOUNTS)
         lcs_counts = map(sum, zip(*(popcounts[k::width] for k in range(width))))
-        alive, buckets = self._alive, self._buckets
-        alive.discard(self._live.get(ident))  # adding a live id again replaces it
+        alive = self._alive
+        groups: dict[int, list[tuple]] = {}
         for other, lcs in zip(fields, lcs_counts):
             if other[0] in alive:
                 top = tokens if tokens > other[3] else other[3]
                 bound = top - lcs + (lcs < top) - (slots if slots < other[4] else other[4])
-                (buckets.get(bound) or self._bucket(bound))[0].append((other, field))
+                groups.setdefault(bound, []).append(other)
+        for bound, others in groups.items():
+            heappush(self._heap, (bound, 0, field[0], field, others))
         self._pack(field)
         alive.add(field[0])
         self._live[ident] = field[0]
 
     def pop(self, limit: float = inf) -> tuple[int, Hashable, Hashable] | None:
         """Take the closest live pair ``(value, id, id)`` within ``limit``, ids ascending, or None."""
-        buckets, values, alive = self._buckets, self._values, self._alive
-        while values and values[0] <= limit:
-            value = values[0]
-            bounds, exact = buckets[value]
-            while bounds:
-                f1, f2 = bounds.pop()
-                if f1[0] not in alive or f2[0] not in alive:
-                    continue
-                if f2[1] < f1[1]:
-                    f1, f2 = f2, f1
-                t, u = f1[2], f2[2]
-                k, ku = t.canonical_key, u.canonical_key
-                keys = (k, ku) if k <= ku else (ku, k)
-                score = self._score(t, u)
-                bucket = buckets.get(score) or self._bucket(score)
-                heappush(bucket[1], (*keys, f1[1], f2[1], f1[0], f2[0]))
-            while exact:
-                *_, id1, id2, seq1, seq2 = heappop(exact)
+        heap, alive = self._heap, self._alive
+        while heap and heap[0][0] <= limit:
+            entry = heappop(heap)
+            if entry[1]:
+                value, _, _, _, id1, id2, seq1, seq2 = entry
                 if seq1 in alive and seq2 in alive:
                     alive.difference_update((seq1, seq2))
                     del self._live[id1], self._live[id2]
                     return value, id1, id2
-            del buckets[value]
-            heappop(values)
+            elif entry[2] in alive:
+                field = entry[3]
+                for other in entry[4]:
+                    if other[0] in alive:
+                        f1, f2 = (other, field) if other[1] < field[1] else (field, other)
+                        t, u = f1[2], f2[2]
+                        k, ku = t.canonical_key, u.canonical_key
+                        keys = (k, ku) if k <= ku else (ku, k)
+                        heappush(heap, (self._score(t, u), 1, *keys, f1[1], f2[1], f1[0], f2[0]))
         return None
-
-    def _bucket(self, value: int) -> tuple[list, list]:
-        """A new, empty bucket for ``value``."""
-        self._buckets[value] = bucket = ([], [])
-        heappush(self._values, value)
-        return bucket
 
     def _pack(self, field: tuple) -> None:
         """Append ``field``, its template's token masks at the next offset."""

@@ -15,6 +15,7 @@ from itertools import count
 from math import inf
 from typing import Iterable
 
+from .errors import is_positive_int
 from .merge import PairQueue, distance, merge_templates, remap_new_slots
 from .template import Template, Token, format_template, normalize_sentence, slot_ids, tokenize
 
@@ -194,7 +195,7 @@ def _prune(node: TemplateTreeNode) -> None:
 
 
 def _check_height(max_height: int) -> None:
-    if isinstance(max_height, bool) or not isinstance(max_height, int) or max_height < 1:
+    if not is_positive_int(max_height):
         raise ValueError(f"max_height must be an int >= 1, got {max_height!r}")
 
 

@@ -21,6 +21,7 @@ from gramtree.evaluation import (
 from gramtree.grammar import Grammar, NonTerminal, enumerate_language, parse_tracery
 from gramtree.induction import induce_grammar
 
+from conftest import FIG1_JSON, run_python
 
 
 def test_lower_median():
@@ -145,11 +146,14 @@ def test_run_experiment_tokenless_two_by_two_stays_sound():
         {"runs": 1.5},
         {"runs": True},
         {"max_height": 2.0},
+        {"cap": 2.5},
+        {"cap": True},
     ],
     ids=[
         "no-sizes", "zero-size", "duplicate-sizes", "zero-cap", "negative-cap",
         "ratio-above-one", "negative-ratio", "zero-height",
         "float-size", "bool-size", "float-runs", "bool-runs", "float-height",
+        "float-cap", "bool-cap",
     ],
 )
 def test_experiment_config_rejects_bad_fields(fields):
@@ -172,6 +176,21 @@ def test_run_experiment_worker_count_does_not_change_results(fig1_grammar):
     assert run_experiment(fig1_grammar, config, workers=1) == run_experiment(
         fig1_grammar, config, workers=2
     )
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_run_experiment_pool_start_method_does_not_change_results(fig1_grammar, method):
+    # Python 3.14 starts pool workers with forkserver on Linux, not fork.
+    config = ExperimentConfig(sample_sizes=(9,), runs=2, ratio=1.0, seed=3)
+    code = f"""
+import multiprocessing
+from gramtree import ExperimentConfig, format_report, parse_tracery, run_experiment
+multiprocessing.set_start_method({method!r})
+grammar = parse_tracery({FIG1_JSON!r})
+print(format_report(run_experiment(grammar, {config!r}, workers=2), "json"))
+"""
+    serial = format_report(run_experiment(fig1_grammar, config, workers=1), "json")
+    assert run_python(code) == serial + "\n"
 
 
 def test_medians_recomputable_from_raw_runs(fig1_grammar):
@@ -211,6 +230,15 @@ def test_format_report_one_row_has_six_columns():
     cells = [c.strip() for c in data_row.strip("|").split("|")]
     assert len(cells) == 6
     assert cells == ["toy", "4", "5", "4", "0", "5"]
+
+
+def test_format_report_escapes_pipes_in_markdown_cells(fig1_grammar):
+    config = ExperimentConfig(sample_sizes=(6,), runs=1, ratio=1.0)
+    report = run_experiment(fig1_grammar, config, name="a|b", workers=1)
+    header, _, row = format_report(report, "markdown").splitlines()
+    assert row.startswith("| a\\|b |")
+    assert row.replace("\\|", "").count("|") == header.count("|") == 7
+    assert list(csv.reader(io.StringIO(format_report(report, "csv"))))[1][0] == "a|b"
 
 
 def test_format_report_csv_and_json_agree():

@@ -305,7 +305,7 @@ def test_enumerate_truncates_at_cap(fig1_grammar):
     assert language.sentences <= FIG1_SENTENCES
 
 
-@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
 def test_enumerate_rejects_cap_below_one(fig1_grammar, cap):
     with pytest.raises(ValueError, match="cap"):
         enumerate_language(fig1_grammar, cap=cap)

@@ -2,11 +2,11 @@
 
 ``learn_template_tree`` and ``merge_all`` take their closest pairs from one
 ``PairQueue``, which queues pairs with a lower bound and computes exact
-distances only for entries in its lowest bucket. The eager loops below
-score every queued pair exactly, as both did before; the lazy ones must
-pick the same pairs in the same order. The queue itself is checked
-against an eager scan of its live pairs, and its packed bounds against
-the per-pair bound.
+distances only for pairs whose bound reaches the top of its heap. The
+eager loops below score every queued pair exactly, as both did before; the
+lazy ones must pick the same pairs in the same order. The queue itself is
+checked against an eager scan of its live pairs, and its packed bounds
+against the per-pair bound.
 """
 
 import itertools
@@ -275,24 +275,27 @@ def test_queue_pops_pairs_in_eager_order():
 
 
 def live_entries(queue):
-    """``(id pair, value, exact)`` of each queued entry whose two templates are live."""
+    """``(id pair, value, exact)`` of each queued pair whose two templates are live."""
     alive = queue._alive
     entries = []
-    for value, (bounds, exact) in queue._buckets.items():
-        for f1, f2 in bounds:
-            if f1[0] in alive and f2[0] in alive:
-                entries.append((frozenset((f1[1], f2[1])), value, False))
-        for *_, id1, id2, seq1, seq2 in exact:
+    for value, exact, *rest in queue._heap:
+        if exact:
+            *_, id1, id2, seq1, seq2 = rest
             if seq1 in alive and seq2 in alive:
                 entries.append((frozenset((id1, id2)), value, True))
+        else:
+            _, field, others = rest
+            for other in others:
+                if field[0] in alive and other[0] in alive:
+                    entries.append((frozenset((field[1], other[1])), value, False))
     return entries
 
 
 def test_packed_bounds_match_the_per_pair_bound():
-    # Random adds, pops and re-adds of taken or live ids: templates with
-    # no tokens or only slots, templates too long for the fields packed so
-    # far (a widen), and runs of pops (a repack). A pop scores the bounds of
-    # every bucket it passes, so every live pair must have exactly one
+    # Random adds, pops and re-adds of taken ids: templates with no tokens
+    # or only slots, templates too long for the fields packed so far (a
+    # widen), and runs of pops (a repack). A pop replaces the bounds it
+    # scores with exact entries, so every live pair must have exactly one
     # entry: a bound equal to the per-pair bound, or an exact one equal to
     # distance.
     rng = random.Random(2005)
@@ -310,8 +313,6 @@ def test_packed_bounds_match_the_per_pair_bound():
                 continue
             if taken and roll < 0.5:
                 ident = taken.pop(rng.randrange(len(taken)))
-            elif len(queue) and roll < 0.55:
-                ident = rng.choice(sorted(queue))  # replaces its live template
             else:
                 ident = next(fresh)
             if ident in templates and rng.random() < 0.5:

@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 
 import gramtree.tree
-from gramtree.template import slot_count
+from gramtree.template import normalize_sentence, slot_count
 from gramtree.tree import (
     TemplateTreeNode,
     copy_tree,
@@ -17,7 +17,7 @@ from gramtree.tree import (
     tree_height,
 )
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, random_template, template
+from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, random_template, template
 
 
 def leaf(text: str) -> TemplateTreeNode:
@@ -315,3 +315,29 @@ def test_prune_computes_each_leaf_set_once(monkeypatch):
     pruned = prune_redundant_children(root)
     assert len(pruned.children) == 60
     assert calls <= 120
+
+
+def test_learned_children_partition_their_leaves():
+    # A pop takes two live templates, whose subtrees share no leaf, and
+    # limit_height hands a node its own subtree's leaves: so the children
+    # of every learned node split its leaves, and pruning finds nothing.
+    rng = random.Random(1978)
+    corpora = [deep_corpus(40, seed) for seed in range(4)]
+    for _ in range(150):
+        words = ("a", "b", "c", "d")[: rng.randint(2, 4)]
+        corpora.append(
+            [" ".join(rng.choices(words, k=rng.randint(0, 6))) for _ in range(rng.randint(1, 25))]
+        )
+    for corpus in corpora:
+        for height in (None, 1, 2, 3):
+            root = learn_template_tree(corpus, max_height=height)
+            assert leaf_texts(root) == set(map(normalize_sentence, corpus))
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node.children:
+                    leaves = [leaf_texts(child) for child in node.children]
+                    assert sum(map(len, leaves)) == len(frozenset().union(*leaves))
+                    assert frozenset().union(*leaves) == leaf_texts(node)
+                    stack.extend(node.children)
+            assert tree_equal(prune_redundant_children(root), root)
