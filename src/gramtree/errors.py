@@ -1,4 +1,4 @@
-"""Exception types, and the argument check, shared across the package."""
+"""Exception types, and the argument checks, shared across the package."""
 
 
 class GramtreeError(Exception):
@@ -32,3 +32,8 @@ class InternalInvariantError(GramtreeError):
 def is_positive_int(value: object) -> bool:
     """Whether ``value`` is an int >= 1; a bool is not."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_ratio(value: object) -> bool:
+    """Whether ``value`` is an int or float within [0, 1]; a bool or NaN is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0

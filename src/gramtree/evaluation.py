@@ -17,7 +17,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import LanguageTooLargeError, RecursiveGrammarError, is_positive_int
+from .errors import LanguageTooLargeError, RecursiveGrammarError, is_positive_int, is_ratio
 from .grammar import DEFAULT_CAP, Grammar, NonTerminal, check_nonrecursive, enumerate_language, rule_count
 from .induction import DEFAULT_RATIO, induce_grammar
 
@@ -41,7 +41,7 @@ class ExperimentConfig:
             raise ValueError("runs must be an int >= 1")
         if not is_positive_int(self.cap):
             raise ValueError("cap must be >= 1 (an int)")
-        if not 0.0 <= self.ratio <= 1.0:
+        if not is_ratio(self.ratio):
             raise ValueError("ratio must be within [0, 1]")
         if self.max_height is not None and not is_positive_int(self.max_height):
             raise ValueError("max_height must be an int >= 1")

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Iterator
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, is_ratio
 from .grammar import (
     Grammar,
     NonTerminal,
@@ -44,6 +44,7 @@ from .tree import (
     max_slot_id,
     prune_redundant_children,
     tree_equal_up_to_slot_ids,
+    walk,
 )
 
 log = logging.getLogger(__name__)
@@ -75,16 +76,11 @@ def extract_slot_values(tree: TemplateTreeNode) -> SlotValues:
         InternalInvariantError: a child is not derivable from its parent.
     """
     values: SlotValues = {}
-
-    def walk(node: TemplateTreeNode) -> None:
+    for node, _ in walk(tree):
         if not node.is_leaf and slot_ids(node.template):
             for child in node.children:
                 for uid, run in _align_child(node.template, child.template):
                     values.setdefault(uid, set()).add(run)
-        for child in node.children:
-            walk(child)
-
-    walk(tree)
     return values
 
 
@@ -225,7 +221,7 @@ def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, S
     does. The merges and their order are those of rescoring every pair
     after each merge.
     """
-    if not 0.0 <= ratio <= 1.0:
+    if not is_ratio(ratio):
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")
     values = {uid: set(vs) for uid, vs in values.items()}
     replacement: SlotReplacement = {}
@@ -481,9 +477,10 @@ def induce_grammar(
         other rules are the surviving slots' value sets.
 
     Raises:
-        ValueError: ``ratio`` is outside [0, 1] or ``max_height`` is not an int >= 1.
+        ValueError: ``ratio`` is not an int or float within [0, 1], or
+            ``max_height`` is not an int >= 1.
     """
-    if not 0.0 <= ratio <= 1.0:
+    if not is_ratio(ratio):
         raise ValueError(f"ratio must be within [0, 1], got {ratio}")
     tree = learn_template_tree(texts, max_height=max_height)
     tree = prune_redundant_children(tree)

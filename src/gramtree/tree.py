@@ -5,6 +5,11 @@ leaves, and the closest pair of parentless templates is repeatedly merged
 until a single root remains. Every merge records the merged nodes as
 children of the node holding the merge result. The parentless templates
 live in a :class:`gramtree.merge.PairQueue`: a pop takes the closest pair.
+
+Every whole-tree pass that can run in pre-order (pruning, height limiting,
+comparison, formatting, and slot-value extraction in
+:mod:`gramtree.induction`) is a loop over :func:`walk`. Only
+:func:`copy_tree` and the collapse, which recalculates bottom-up, recurse.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 from math import inf
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import is_positive_int
 from .merge import PairQueue, distance, merge_templates, remap_new_slots
@@ -39,18 +44,35 @@ class TemplateTreeNode:
         return not self.children
 
 
+def walk(node: TemplateTreeNode) -> Iterator[tuple[TemplateTreeNode, int]]:
+    """Every node of ``node``'s subtree in pre-order, with its depth below ``node``.
+
+    A node's children are read only when the walk resumes after yielding
+    the node, so a pass may replace them first and the walk follows the
+    new ones.
+    """
+    yield node, 0
+    stack = [iter(node.children)]
+    while stack:
+        for node in stack[-1]:
+            yield node, len(stack)
+            if node.children:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
+
+
 def leaf_texts(node: TemplateTreeNode) -> frozenset[str]:
     """The set of leaf sentences reachable from ``node``."""
-    if node.is_leaf:
-        return frozenset(() if node.leaf_text is None else (node.leaf_text,))
-    return frozenset().union(*(leaf_texts(c) for c in node.children))
+    return frozenset(
+        n.leaf_text for n, _ in walk(node) if not n.children and n.leaf_text is not None
+    )
 
 
 def tree_height(node: TemplateTreeNode) -> int:
     """Height in edges; a lone leaf has height 0."""
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_height(c) for c in node.children)
+    return max(depth for _, depth in walk(node))
 
 
 def copy_tree(node: TemplateTreeNode) -> TemplateTreeNode:
@@ -60,11 +82,12 @@ def copy_tree(node: TemplateTreeNode) -> TemplateTreeNode:
 
 
 def tree_equal(a: TemplateTreeNode, b: TemplateTreeNode) -> bool:
-    return (
-        a.template == b.template
-        and a.leaf_text == b.leaf_text
-        and len(a.children) == len(b.children)
-        and all(tree_equal(x, y) for x, y in zip(a.children, b.children))
+    # Child counts in pre-order fix the shape, so the walks pair node with node.
+    return all(
+        x.template == y.template
+        and x.leaf_text == y.leaf_text
+        and len(x.children) == len(y.children)
+        for (x, _), (y, _) in zip(walk(a), walk(b))
     )
 
 
@@ -82,36 +105,26 @@ def _shape_key(tree: TemplateTreeNode) -> list:
     token texts, and slot ids numbered by first occurrence in the tree."""
     order: dict[int, int] = {}
     key: list = []
-
-    def walk(node: TemplateTreeNode) -> None:
+    for node, _ in walk(tree):
         key.append((node.leaf_text, len(node.children)))
         for e in node.template.elements:
             key.append(e.text if isinstance(e, Token) else order.setdefault(e.uid, len(order)))
-        for child in node.children:
-            walk(child)
-
-    walk(tree)
     return key
 
 
 def max_slot_id(node: TemplateTreeNode) -> int:
     """Largest slot id used anywhere in the tree, or -1."""
-    own = max(slot_ids(node.template), default=-1)
-    return max([own] + [max_slot_id(c) for c in node.children])
+    return max((uid for n, _ in walk(node) for uid in slot_ids(n.template)), default=-1)
 
 
 def format_tree(node: TemplateTreeNode, ascii_slots: bool = False) -> str:
     """Indented dump, one node per line, leaves suffixed with ``*``."""
-    lines: list[str] = []
-
-    def walk(n: TemplateTreeNode, depth: int) -> None:
-        text = format_template(n.template, ascii_slots=ascii_slots)
-        lines.append("  " * depth + text + (" *" if n.is_leaf else ""))
-        for c in n.children:
-            walk(c, depth + 1)
-
-    walk(node, 0)
-    return "\n".join(lines)
+    return "\n".join(
+        "  " * depth
+        + format_template(n.template, ascii_slots=ascii_slots)
+        + (" *" if n.is_leaf else "")
+        for n, depth in walk(node)
+    )
 
 
 def learn_template_tree(
@@ -176,22 +189,17 @@ def prune_redundant_children(node: TemplateTreeNode) -> TemplateTreeNode:
     uncovered, since later removals only shrink its siblings' union.
     """
     root = copy_tree(node)
-    _prune(root)
+    for parent, _ in walk(root):
+        leaves = [leaf_texts(c) for c in parent.children]
+        # leaf text -> number of remaining children that reach it
+        reach = Counter(text for texts in leaves for text in texts)
+        dropped: set[int] = set()
+        for i in sorted(range(len(leaves)), key=lambda i: (len(leaves[i]), i)):
+            if len(leaves) - len(dropped) > 1 and all(reach[t] > 1 for t in leaves[i]):
+                dropped.add(i)
+                reach.subtract(leaves[i])
+        parent.children = [c for i, c in enumerate(parent.children) if i not in dropped]
     return root
-
-
-def _prune(node: TemplateTreeNode) -> None:
-    leaves = [leaf_texts(c) for c in node.children]
-    # leaf text -> number of remaining children that reach it
-    reach = Counter(text for texts in leaves for text in texts)
-    dropped: set[int] = set()
-    for i in sorted(range(len(leaves)), key=lambda i: (len(leaves[i]), i)):
-        if len(leaves) - len(dropped) > 1 and all(reach[t] > 1 for t in leaves[i]):
-            dropped.add(i)
-            reach.subtract(leaves[i])
-    node.children = [c for i, c in enumerate(node.children) if i not in dropped]
-    for child in node.children:
-        _prune(child)
 
 
 def _check_height(max_height: int) -> None:
@@ -214,20 +222,7 @@ def limit_height(root: TemplateTreeNode, max_height: int) -> TemplateTreeNode:
     """
     _check_height(max_height)
     root = copy_tree(root)
-    level = [root]
-    for _ in range(max_height - 1):
-        level = [c for node in level for c in node.children]
-    for node in level:
-        node.children = _leaves_below(node)
+    for node, depth in walk(root):
+        if depth == max_height - 1 and node.children:
+            node.children = [n for n, _ in walk(node) if not n.children]
     return root
-
-
-def _leaves_below(node: TemplateTreeNode) -> list[TemplateTreeNode]:
-    """The leaves of ``node``'s subtree, left to right; none for a leaf."""
-    found, stack = [], node.children[::-1]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            found.append(node)
-        stack.extend(reversed(node.children))
-    return found

@@ -148,12 +148,16 @@ def test_run_experiment_tokenless_two_by_two_stays_sound():
         {"max_height": 2.0},
         {"cap": 2.5},
         {"cap": True},
+        {"ratio": True},
+        {"ratio": "0.5"},
+        {"ratio": None},
+        {"ratio": float("nan")},
     ],
     ids=[
         "no-sizes", "zero-size", "duplicate-sizes", "zero-cap", "negative-cap",
         "ratio-above-one", "negative-ratio", "zero-height",
         "float-size", "bool-size", "float-runs", "bool-runs", "float-height",
-        "float-cap", "bool-cap",
+        "float-cap", "bool-cap", "bool-ratio", "str-ratio", "none-ratio", "nan-ratio",
     ],
 )
 def test_experiment_config_rejects_bad_fields(fields):

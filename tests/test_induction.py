@@ -454,8 +454,12 @@ def test_induce_covers_training_data():
 
 
 def test_induce_ratio_validation():
-    with pytest.raises(ValueError):
-        induce_grammar(["a"], ratio=1.5)
+    # A bool is not a ratio, and a non-number fails as a bad value, not in the comparison.
+    for ratio in (1.5, -0.1, float("nan"), True, "0.5", None):
+        with pytest.raises(ValueError, match="ratio"):
+            induce_grammar(["a"], ratio=ratio)
+        with pytest.raises(ValueError, match="ratio"):
+            merge_similar_slots({0: {("x",)}}, ratio)
 
 
 def test_induce_checks_ratio_before_learning(monkeypatch):
@@ -470,7 +474,9 @@ def test_induce_checks_ratio_before_learning(monkeypatch):
 # Eight sentences over two words. At ratio 1.0 collapse closes a slot cycle
 # that the slot merge's acyclicity guard cannot see (ROADMAP item 2); at
 # ratios 0 and 0.5, and with any height cap from 1 to 3, the grammar comes
-# out non-recursive.
+# out non-recursive. The two corpora after it are random small-vocabulary
+# corpora shrunk to a 1-minimal failing case; each also passes with a height
+# cap from 1 to 3.
 RECURSIVE_CORPUS = [
     "w0 w0 w0",
     "w0 w0 w0 w0 w1 w1",
@@ -481,6 +487,14 @@ RECURSIVE_CORPUS = [
     "w1",
     "w1 w0 w0 w0 w0 w0",
 ]
+RECURSIVE_AT_RATIO_0 = [
+    "w1 w1", "w2 w0 w1 w3", "w1 w2 w0", "w3", "w3 w3", "w1 w3", "w1 w1 w1 w2",
+    "w0 w3 w0 w3 w3 w1", "w1 w0", "w3 w0", "w0 w1 w2 w3", "w1 w3 w3 w0 w1 w0",
+]
+RECURSIVE_AT_RATIO_3_4 = [
+    "w1 w1", "w0 w0 w0 w1 w0 w0 w1", "w0 w1 w0 w0 w0 w1 w0", "w1 w0 w0 w0 w0 w1 w1",
+    "w1 w0 w1 w1 w1", "w0 w0 w0 w1 w0 w0", "w0 w1 w0", "w0 w0 w0",
+]
 
 
 def test_small_corpus_at_ratio_half_gives_a_nonrecursive_grammar():
@@ -488,11 +502,27 @@ def test_small_corpus_at_ratio_half_gives_a_nonrecursive_grammar():
     assert frozenset(RECURSIVE_CORPUS) <= enumerate_language(grammar).sentences
 
 
-@pytest.mark.xfail(
-    raises=InternalInvariantError,
-    strict=True,
-    reason="known defect (ROADMAP item 2): induced grammar is recursive: B -> C -> B",
+def recursive_case(corpus: list[str], ratio: float, cycle: str):
+    return pytest.param(
+        corpus,
+        ratio,
+        id=f"ratio-{ratio}",
+        marks=pytest.mark.xfail(
+            raises=InternalInvariantError,
+            strict=True,
+            reason=f"known defect (ROADMAP item 2): induced grammar is recursive: {cycle}",
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "corpus, ratio",
+    [
+        recursive_case(RECURSIVE_CORPUS, 1.0, "B -> C -> B"),
+        recursive_case(RECURSIVE_AT_RATIO_0, 0.0, "A -> B -> A"),
+        recursive_case(RECURSIVE_AT_RATIO_3_4, 0.75, "B -> E -> B"),
+    ],
 )
-def test_known_defect_recursive_grammar_on_a_small_corpus():
-    grammar = induce_grammar(RECURSIVE_CORPUS, ratio=1.0)
-    assert frozenset(RECURSIVE_CORPUS) <= enumerate_language(grammar).sentences
+def test_known_defect_recursive_grammar_on_a_small_corpus(corpus, ratio):
+    grammar = induce_grammar(corpus, ratio=ratio)
+    assert frozenset(corpus) <= enumerate_language(grammar).sentences

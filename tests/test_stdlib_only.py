@@ -28,6 +28,13 @@ def test_package_imports_only_the_standard_library():
         assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_package_parses_at_the_oldest_supported_python():
+    # requires-python is ">=3.10"; this catches newer syntax on a newer interpreter.
+    assert 'requires-python = ">=3.10"' in PYPROJECT.read_text()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_pyproject_declares_no_runtime_dependency():
     lines = [line.strip() for line in PYPROJECT.read_text().splitlines()]
     assert "dependencies = []" in lines

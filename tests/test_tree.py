@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import count
 
 import pytest
 
 import gramtree.tree
-from gramtree.template import normalize_sentence, slot_count
+from gramtree.template import Template, Token, format_template, normalize_sentence, slot_count, slot_ids
 from gramtree.tree import (
     TemplateTreeNode,
     copy_tree,
@@ -12,9 +13,11 @@ from gramtree.tree import (
     leaf_texts,
     learn_template_tree,
     limit_height,
+    max_slot_id,
     prune_redundant_children,
     tree_equal,
     tree_height,
+    walk,
 )
 
 from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, random_template, template
@@ -341,3 +344,110 @@ def test_learned_children_partition_their_leaves():
                     assert frozenset().union(*leaves) == leaf_texts(node)
                     stack.extend(node.children)
             assert tree_equal(prune_redundant_children(root), root)
+
+
+# Reference copies of the recursive passes that the pre-order walk replaced.
+# The walk-based passes must give the same results.
+
+
+def recursive_preorder(node: TemplateTreeNode, depth: int = 0):
+    yield node, depth
+    for child in node.children:
+        yield from recursive_preorder(child, depth + 1)
+
+
+def reference_leaf_texts(node: TemplateTreeNode) -> frozenset:
+    if node.is_leaf:
+        return frozenset(() if node.leaf_text is None else (node.leaf_text,))
+    return frozenset().union(*(reference_leaf_texts(c) for c in node.children))
+
+
+def reference_tree_height(node: TemplateTreeNode) -> int:
+    if node.is_leaf:
+        return 0
+    return 1 + max(reference_tree_height(c) for c in node.children)
+
+
+def reference_tree_equal(a: TemplateTreeNode, b: TemplateTreeNode) -> bool:
+    return (
+        a.template == b.template
+        and a.leaf_text == b.leaf_text
+        and len(a.children) == len(b.children)
+        and all(reference_tree_equal(x, y) for x, y in zip(a.children, b.children))
+    )
+
+
+def reference_max_slot_id(node: TemplateTreeNode) -> int:
+    own = max(slot_ids(node.template), default=-1)
+    return max([own] + [reference_max_slot_id(c) for c in node.children])
+
+
+def reference_format_tree(node: TemplateTreeNode, ascii_slots: bool = False) -> str:
+    lines = []
+
+    def visit(n, depth):
+        text = format_template(n.template, ascii_slots=ascii_slots)
+        lines.append("  " * depth + text + (" *" if n.is_leaf else ""))
+        for c in n.children:
+            visit(c, depth + 1)
+
+    visit(node, 0)
+    return "\n".join(lines)
+
+
+def trees_for_the_walk():
+    yield from random_trees(1121, 300)
+    for seed in range(3):
+        yield learn_template_tree(deep_corpus(40, seed))
+
+
+def test_walk_is_the_recursive_preorder():
+    for tree in trees_for_the_walk():
+        walked = [(id(node), depth) for node, depth in walk(tree)]
+        assert walked == [(id(node), depth) for node, depth in recursive_preorder(tree)]
+
+
+def test_walk_follows_children_replaced_before_it_resumes():
+    tree = learn_template_tree(["a b", "a c", "d e", "d f"])
+    lone = leaf("g")
+    seen = []
+    for node, depth in walk(tree):
+        seen.append((node, depth))
+        if depth == 0:
+            node.children = [lone]
+    assert seen == [(tree, 0), (lone, 1)]
+
+
+def test_walk_passes_match_the_recursive_references():
+    for tree in trees_for_the_walk():
+        assert leaf_texts(tree) == reference_leaf_texts(tree)
+        assert tree_height(tree) == reference_tree_height(tree)
+        assert max_slot_id(tree) == reference_max_slot_id(tree)
+        for ascii_slots in (False, True):
+            assert format_tree(tree, ascii_slots) == reference_format_tree(tree, ascii_slots)
+    # Only leaves contribute their text.
+    odd = TemplateTreeNode(template(0), [leaf("a")], leaf_text="b")
+    assert leaf_texts(odd) == reference_leaf_texts(odd) == {"a"}
+
+
+def test_tree_equal_matches_the_reference_on_one_change():
+    rng = random.Random(2009)
+    changed = Counter()
+    for tree in trees_for_the_walk():
+        assert tree_equal(tree, copy_tree(tree)) and reference_tree_equal(tree, copy_tree(tree))
+        for change in ("template", "leaf_text", "children"):
+            other = copy_tree(tree)
+            depth = rng.randint(0, tree_height(other))
+            node = rng.choice([n for n, d in recursive_preorder(other) if d == depth])
+            if change == "template":
+                node.template = Template(node.template.elements + (Token("z"),))
+            elif change == "leaf_text":
+                node.leaf_text = (node.leaf_text or "") + "!"
+            elif node.children and rng.random() < 0.5:
+                node.children.pop(rng.randrange(len(node.children)))
+            else:
+                node.children.insert(rng.randint(0, len(node.children)), leaf("z"))
+            assert not reference_tree_equal(tree, other)
+            assert not tree_equal(tree, other) and not tree_equal(other, tree)
+            changed[change, depth > 0] += 1
+    assert min(changed.values()) > 20, changed
