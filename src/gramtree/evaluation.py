@@ -14,7 +14,6 @@ import io
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import LanguageTooLargeError, RecursiveGrammarError, is_positive_int, is_ratio
@@ -161,9 +160,12 @@ def run_experiment(
     parallel when workers > 1).
 
     Raises:
-        ValueError: a sample size exceeds the reference language size.
+        ValueError: ``workers`` is neither None nor an int >= 1, or a
+            sample size exceeds the reference language size.
         LanguageTooLargeError: enumeration hit the cap.
     """
+    if workers is not None and not is_positive_int(workers):
+        raise ValueError("workers must be None or an int >= 1")
     reference_set = _exact_language(reference, config.cap)
     sentences = sorted(reference_set)
     for size in config.sample_sizes:
@@ -181,6 +183,9 @@ def run_experiment(
     if workers is None:
         workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1 and len(cells) > 1:
+        # Imported here, so that importing the package does not load the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_run_cell, cells))
     else:

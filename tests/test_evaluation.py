@@ -170,6 +170,14 @@ def test_run_experiment_rejects_oversized_samples(fig1_grammar):
         run_experiment(fig1_grammar, ExperimentConfig(sample_sizes=(13,)))
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2"], ids=["zero", "negative", "bool", "float", "str"])
+def test_run_experiment_rejects_bad_workers(fig1_grammar, workers):
+    # cap=1 makes enumeration fail, so the check must come before it.
+    config = ExperimentConfig(sample_sizes=(6,), runs=1, cap=1)
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(fig1_grammar, config, workers=workers)
+
+
 def test_run_experiment_is_deterministic(fig1_grammar):
     config = ExperimentConfig(sample_sizes=(6, 9), runs=3, ratio=1.0, seed=11)
     assert run_experiment(fig1_grammar, config) == run_experiment(fig1_grammar, config)
