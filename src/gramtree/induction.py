@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 from typing import Iterable, Iterator
 
 from .errors import InternalInvariantError, is_ratio
@@ -94,26 +94,25 @@ def _align_child(parent: Template, child: Template) -> list[tuple[int, Value]]:
     """
     p, c = parent.elements, child.elements
     np_, nc = len(p), len(c)
-    NEG = -1
+    positions: dict[str | None, list[int]] = {}
+    for ci, key in enumerate(child.match_keys):
+        positions.setdefault(key, []).append(ci)
 
     # best[pi][ci] = max count of non-empty slot assignments matching
     # p[pi:] against c[ci:], or -1 when impossible.
-    best = [[NEG] * (nc + 1) for _ in range(np_ + 1)]
+    best = [[-1] * (nc + 1) for _ in range(np_ + 1)]
     best[np_][nc] = 0
     for pi in range(np_ - 1, -1, -1):
-        e = p[pi]
-        row, below = best[pi], best[pi + 1]
+        e, below = p[pi], best[pi + 1]
         if isinstance(e, Token):
-            for ci in range(nc - 1, -1, -1):
-                if c[ci] == e and below[ci + 1] >= 0:
-                    row[ci] = below[ci + 1]
+            row = best[pi]
+            for ci in positions.get(e.text, ()):
+                row[ci] = below[ci + 1]
         else:
-            # An empty run scores below[ci]; a non-empty one 1 + the best
-            # below[k] for k > ci, kept as a running maximum.
-            after = NEG
-            for ci in range(nc, -1, -1):
-                row[ci] = max(below[ci], after + 1 if after >= 0 else NEG)
-                after = max(after, below[ci])
+            # An empty run scores below[ci]; a non-empty one 1 + after[ci],
+            # the best below[k] for k > ci.
+            after = [*accumulate(below[:0:-1], max)][::-1] + [-1]
+            best[pi] = [b if a < 0 or b > a else a + 1 for b, a in zip(below, after)]
     if best[0][0] < 0:
         raise InternalInvariantError(
             f"child {format_template(child)!r} is not derivable from "
@@ -127,13 +126,15 @@ def _align_child(parent: Template, child: Template) -> list[tuple[int, Value]]:
         if isinstance(e, Token):
             pi, ci = pi + 1, ci + 1
             continue
-        target = best[pi][ci]
-        for length in range(nc - ci, -1, -1):
-            rest = best[pi + 1][ci + length]
-            if rest >= 0 and rest + (1 if length else 0) == target:
-                assignments.append((e.uid, tuple(c[ci : ci + length])))
-                ci += length
-                break
+        # The longest run whose rest scores one less, else the empty run.
+        target, length = best[pi][ci], 0
+        if target:
+            try:
+                length = nc - ci - best[pi + 1][:ci:-1].index(target - 1)
+            except ValueError:
+                pass
+        assignments.append((e.uid, c[ci : ci + length]))
+        ci += length
         pi += 1
     return assignments
 

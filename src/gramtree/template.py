@@ -68,6 +68,17 @@ class Template:
         return tuple(e.text if isinstance(e, Token) else None for e in self.elements)
 
     @cached_property
+    def shape(self) -> Template:
+        """This template with every slot as ``Slot(0)``, or ``self`` if that changes nothing.
+
+        The merge distance reads only match keys, so it keys its memo on
+        shapes: templates that differ only in slot ids share one score.
+        """
+        slot = Slot(0)
+        elements = tuple(slot if isinstance(e, Slot) else e for e in self.elements)
+        return self if elements == self.elements else Template(elements)
+
+    @cached_property
     def slot_count(self) -> int:
         """Number of slot elements; distance bounds read it on every pair."""
         return self.match_keys.count(None)

@@ -112,6 +112,36 @@ def distance_lower_bound(t1: Template, t2: Template) -> int:
     return l1 - lcs + (lcs < l1) - min(slot_count(t1), slot_count(t2))
 
 
+def unbanded_score_rows(ka, kb, values, gap):
+    """``merge._score_rows`` as it was before the band: every cell filled.
+
+    The rows of the alignment score table, bottom up: f[n], ..., f[0].
+    """
+    n, m = len(ka), len(kb)
+    f_next = [-gap] * m + [0]
+    yield f_next
+    g_next = [-gap] * (m + 1)
+    for i in range(n - 1, -1, -1):
+        x, value = ka[i], values[i]
+        f_row = [-gap] * (m + 1)
+        g_row = [-gap] * (m + 1)
+        carry = -gap
+        for j in range(m - 1, -1, -1):
+            in_gap = g_next[j]
+            if in_gap < carry:
+                in_gap = carry
+            if x == kb[j]:
+                here = value + f_next[j + 1]
+                f_row[j] = here if here > in_gap else in_gap
+                if here - gap > in_gap:
+                    in_gap = here - gap
+            else:
+                f_row[j] = in_gap
+            g_row[j] = carry = in_gap
+        yield f_row
+        f_next, g_next = f_row, g_row
+
+
 def run_python(code: str, stdin: str = "", **env: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this gramtree; return stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(gramtree.__file__).parents[1]), **env}

@@ -215,6 +215,50 @@ def test_fallback_pairs_run_the_bounded_program_once_unless_an_end_is_unmatched(
     assert 0 < calls <= len(fallbacks) + unmatched < 2 * len(fallbacks)
 
 
+def count_tables_and_shape_pairs(monkeypatch, module):
+    """Counters of score tables filled, merges, and unordered shape pairs scored."""
+    counts = {"tables": 0, "merges": 0, "shapes": set()}
+    score_rows, merge = gramtree.merge._score_rows, gramtree.merge.merge_templates
+
+    def counted_rows(*args):
+        counts["tables"] += 1
+        return score_rows(*args)
+
+    def counted_merge(t1, t2):
+        counts["merges"] += 1
+        return merge(t1, t2)
+
+    def counted_distance(t1, t2):
+        counts["shapes"].add(frozenset((t1.shape, t2.shape)))
+        return distance(t1, t2)
+
+    monkeypatch.setattr(gramtree.merge, "_score_rows", counted_rows)
+    monkeypatch.setattr(module, "merge_templates", counted_merge)
+    monkeypatch.setattr(module, "distance", counted_distance)
+    distance.cache_clear()
+    _alignment.cache_clear()
+    merge_all.cache_clear()
+    return counts
+
+
+def test_learning_fills_one_score_table_per_shape_pair_or_merge(monkeypatch):
+    # The queue scores slot-blind shapes in one order, so pairs that differ
+    # only in slot ids share one distance; a length-bound pair takes its
+    # rank from the bounded program, filling no second table; each merge
+    # fills one.
+    counts = count_tables_and_shape_pairs(monkeypatch, gramtree.tree)
+    learn_template_tree(deep_corpus(60))
+    assert 0 < counts["tables"] <= len(counts["shapes"]) + counts["merges"]
+
+
+def test_merge_all_fills_one_score_table_per_shape_pair_or_merge(monkeypatch):
+    # merge_all's ids are list positions, not canonical keys: the queue
+    # still passes each shape pair in canonical order.
+    counts = count_tables_and_shape_pairs(monkeypatch, gramtree.merge)
+    merge_all(tuple(tokenize(text) for text in deep_corpus(60)))
+    assert 0 < counts["tables"] <= len(counts["shapes"]) + counts["merges"]
+
+
 def queue_order(templates, i, j):
     """The eager sort key of the live pair ``{i, j}``, ids ascending."""
     i, j = min(i, j), max(i, j)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import gramtree.merge
 from gramtree.merge import (
     _alignment,
     _bounded_alignment,
@@ -33,7 +34,7 @@ from gramtree.template import (
     tokenize,
 )
 
-from conftest import distance_lower_bound, random_template, template
+from conftest import distance_lower_bound, random_template, template, unbanded_score_rows
 
 
 def brute_force_merge_stats(t1: Template, t2: Template):
@@ -320,6 +321,64 @@ def test_fallback_keeps_the_core_alignment_unless_the_whole_one_is_strictly_bett
         merged = merge_templates(t1, t2).merged
         assert (token_count(merged), slot_count(merged)) == brute_force_merge_stats(t1, t2)
         assert distance(t1, t2) == brute_force_distance(t1, t2)
+
+
+def slot_id_pairs(seed: int, count: int) -> list[tuple[Template, Template]]:
+    """Random pairs whose slot ids repeat within and across the two sides.
+
+    Up to 12 elements from 1-3 words and the slot ids 0-2. Half the pairs
+    get a slot at the start, the end or both of each side, ids drawn apart:
+    ends with equal keys but not equal elements. About one pair in forty
+    breaks the length bound.
+    """
+    rng = random.Random(seed)
+    pairs = [LENGTH_BOUND_PAIR]
+    for _ in range(count):
+        words = ("a", "b", "c")[: rng.randint(1, 3)]
+        t1, t2 = (random_template(rng, words, max_len=12) for _ in range(2))
+        if rng.random() < 0.5:
+            head, tail = rng.choice(((1, 0), (0, 1), (1, 1)))
+            t1, t2 = (
+                Template((Slot(rng.randrange(3)),) * head + t.elements + (Slot(rng.randrange(3)),) * tail)
+                for t in (t1, t2)
+            )
+        pairs.append((t1, t2))
+    return pairs
+
+
+def test_banded_scores_and_merges_match_the_unbanded_reference(monkeypatch):
+    # The score program fills only the band that a max-match alignment
+    # can use; the reference fills every cell. Scored on whole templates,
+    # trimmed cores and merges alike.
+    pairs = slot_id_pairs(1985, 8000)
+
+    def outcomes():
+        _alignment.cache_clear()
+        found = []
+        for t1, t2 in pairs:
+            ka, kb = t1.match_keys, t2.match_keys
+            w1, gap, values = _weights(ka, len(kb))
+            *_, row = gramtree.merge._score_rows(ka, kb, values, gap)
+            result = merge_templates(t1, t2)
+            found.append((row[0], distance.__wrapped__(t1, t2), result.merged, result.alignments))
+        return found
+
+    banded = outcomes()
+    monkeypatch.setattr(gramtree.merge, "_score_rows", unbanded_score_rows)
+    for (t1, t2), got, expected in zip(pairs, banded, outcomes()):
+        assert got == expected, (str(t1), str(t2))
+    _alignment.cache_clear()
+    assert sum(breaks_length_bound(t1, t2) for t1, t2 in pairs) > 150
+
+
+def test_distance_is_the_distance_of_the_shapes():
+    # Neither slot ids nor the order of the two templates change a
+    # distance, so the queue scores shapes and distance takes either order.
+    pairs = slot_id_pairs(1986, 4000)
+    for t1, t2 in pairs:
+        d = distance.__wrapped__(t1, t2)
+        assert d == distance.__wrapped__(t1.shape, t2.shape) == distance.__wrapped__(t2, t1), (str(t1), str(t2))
+    assert sum(t1.shape != t1 and t2.shape != t2 for t1, t2 in pairs) > 2000
 
 
 def _product(words, n):
