@@ -1,10 +1,11 @@
 """gramtree: learn compact non-recursive generative grammars from examples.
 
-``import gramtree`` loads only the induction path. The evaluation harness
-(``gramtree.evaluation`` and its ten public names, such as
-``run_experiment``) loads on first access, and its process pool only when
-``run_experiment`` runs cells in parallel. Without a bytecode cache that
-keeps about 40 ms and 6 MiB of peak RSS off a cold import (Python 3.11).
+``import gramtree`` loads only the induction path: neither the evaluation
+harness nor ``logging``. The harness (``gramtree.evaluation`` and its ten
+public names, such as ``run_experiment``) loads on first access, and its
+process pool only when ``run_experiment`` runs cells in parallel. Without a
+bytecode cache that keeps about 40 ms and 6 MiB of peak RSS off a cold
+import (Python 3.11). ``logging`` loads only when induction logs a warning.
 """
 
 import importlib
@@ -124,27 +125,13 @@ __all__ = [
     "tree_height",
 ]
 
-# Public names of ``evaluation``, resolved on first access (PEP 562).
-_EVALUATION_NAMES = frozenset({
-    "EvalReport",
-    "ExperimentConfig",
-    "GrammarResult",
-    "RunMetrics",
-    "SizeResult",
-    "compare_languages",
-    "format_report",
-    "merge_reports",
-    "reference_depth",
-    "run_experiment",
-})
-
-
+# Names of ``__all__`` not bound above are ``evaluation``'s, resolved on first access (PEP 562).
 def __getattr__(name: str):
-    if name == "evaluation" or name in _EVALUATION_NAMES:
+    if name == "evaluation" or name in __all__:
         evaluation = importlib.import_module(".evaluation", __name__)
         return evaluation if name == "evaluation" else getattr(evaluation, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EVALUATION_NAMES, "evaluation"})
+    return sorted({*globals(), *__all__, "evaluation"})

@@ -124,9 +124,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "generate":
         grammar = parse_tracery(args.grammar.read_text(encoding="utf-8-sig"))
-        if args.count < 1:
-            print("gramtree: --count must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         for sentence in generate_sentences(grammar, args.seed, args.count):
             print(sentence)
         return EXIT_OK

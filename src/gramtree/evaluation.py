@@ -16,8 +16,8 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 
-from .errors import LanguageTooLargeError, RecursiveGrammarError, is_positive_int, is_ratio
-from .grammar import DEFAULT_CAP, Grammar, NonTerminal, check_nonrecursive, enumerate_language, rule_count
+from .errors import LanguageTooLargeError, is_positive_int, is_ratio
+from .grammar import DEFAULT_CAP, Grammar, NonTerminal, enumerate_language, nonrecursive_order, rule_count
 from .induction import DEFAULT_RATIO, induce_grammar
 
 DEFAULT_SAMPLE_SIZES = (25, 50, 100)
@@ -116,11 +116,8 @@ def reference_depth(grammar: Grammar) -> int:
     Raises:
         RecursiveGrammarError: the grammar has a reference cycle.
     """
-    check = check_nonrecursive(grammar)
-    if not check.ok:
-        raise RecursiveGrammarError(check.cycle)
     depth: dict[str, int] = {}
-    for name in check.order:
+    for name in nonrecursive_order(grammar):
         referenced = [
             depth[s.name]
             for production in grammar.rules[name]

@@ -236,6 +236,14 @@ def check_nonrecursive(grammar: Grammar) -> NonrecursionCheck:
     return NonrecursionCheck(*reference_order(graph))
 
 
+def nonrecursive_order(grammar: Grammar) -> tuple[str, ...]:
+    """``check_nonrecursive``'s order; a reference cycle raises ``RecursiveGrammarError``."""
+    check = check_nonrecursive(grammar)
+    if not check.ok:
+        raise RecursiveGrammarError(check.cycle)
+    return check.order
+
+
 def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     """Enumerate the full language bottom-up over the topological order.
 
@@ -249,13 +257,11 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     """
     if not is_positive_int(cap):
         raise ValueError(f"cap must be >= 1 (an int), got {cap!r}")
-    check = check_nonrecursive(grammar)
-    if not check.ok:
-        raise RecursiveGrammarError(check.cycle)
+    order = nonrecursive_order(grammar)
     # A rule's expansions are dropped once the last rule referencing it is
     # done; the start rule's are the result.
-    last_use = {name: position for position, name in enumerate(check.order)}
-    for position, name in enumerate(check.order):
+    last_use = {name: position for position, name in enumerate(order)}
+    for position, name in enumerate(order):
         for production in grammar.rules[name]:
             for symbol in production:
                 if isinstance(symbol, NonTerminal):
@@ -267,7 +273,7 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
 
     expansions: dict[str, list[str]] = {}
     truncated = False
-    for position, name in enumerate(check.order):
+    for position, name in enumerate(order):
         seen: set[str] = set()
         rule_truncated = False
         for production in grammar.rules[name]:
@@ -296,10 +302,15 @@ def generate_random(grammar: Grammar, seed: int) -> str:
 
 
 def generate_sentences(grammar: Grammar, seed: int, n: int) -> list[str]:
-    """``n`` seeded random sentences (one generator stream)."""
-    check = check_nonrecursive(grammar)
-    if not check.ok:
-        raise RecursiveGrammarError(check.cycle)
+    """``n`` seeded random sentences (one generator stream).
+
+    Raises:
+        ValueError: ``n`` is not an int >= 1.
+        RecursiveGrammarError: the grammar has a reference cycle.
+    """
+    if not is_positive_int(n):
+        raise ValueError(f"n must be >= 1 (an int), got {n!r}")
+    nonrecursive_order(grammar)
     rng = random.Random(seed)
 
     def sentence() -> str:

@@ -10,7 +10,6 @@ surviving root template and slot values become the grammar.
 
 from __future__ import annotations
 
-import logging
 from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import accumulate, count
@@ -46,8 +45,6 @@ from .tree import (
     tree_equal_up_to_slot_ids,
     walk,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_RATIO = 0.5
 MAX_PASSES = 100
@@ -187,15 +184,21 @@ def _merge_keeps_acyclic(values: SlotValues, keep: int, drop: int) -> bool:
     ``(<drop>,)`` that simplification drops, reach ``keep`` or ``drop``.
     """
     frontier = _references(values[keep] | values[drop], {(Slot(keep),), (Slot(drop),)})
+    return {keep, drop}.isdisjoint(_reachable(values, frontier))
+
+
+def _reachable(values: SlotValues, frontier: list[int]) -> Iterator[int]:
+    """Each slot in ``frontier`` (consumed) or reachable from it through slot values, once.
+
+    A slot without values is yielded but not followed."""
     seen: set[int] = set()
     while frontier:
         uid = frontier.pop()
-        if uid == keep or uid == drop:
-            return False
-        if uid not in seen and uid in values:
+        if uid not in seen:
             seen.add(uid)
-            frontier += _references(values[uid])
-    return True
+            yield uid
+            if uid in values:
+                frontier += _references(values[uid])
 
 
 def merge_similar_slots(values: SlotValues, ratio: float) -> tuple[SlotValues, SlotReplacement]:
@@ -292,6 +295,13 @@ def _slot_ref(value: Value) -> int | None:
     return None
 
 
+def _warn(message: str, *args: object) -> None:
+    """Log a warning; ``logging`` loads here, not on ``import gramtree``."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def _simplify(values: SlotValues, replacement: SlotReplacement) -> tuple[SlotValues, bool]:
     """``simplify_slot_values``, retiring aliases into ``replacement``, plus
     whether anything changed."""
@@ -305,7 +315,7 @@ def _simplify(values: SlotValues, replacement: SlotReplacement) -> tuple[SlotVal
                 values[uid].discard((Slot(uid),))
                 changed = True
                 if not values[uid]:
-                    log.warning("slot %s only referenced itself; keeping ε", slot_label(uid))
+                    _warn("slot %s only referenced itself; keeping ε", slot_label(uid))
                     values[uid].add(())
 
         # Drop values already reachable through a referenced slot, but
@@ -325,11 +335,7 @@ def _simplify(values: SlotValues, replacement: SlotReplacement) -> tuple[SlotVal
                 if removable == values[uid]:
                     kept = max(removable, key=value_key)
                     removable = removable - {kept}
-                    log.warning(
-                        "all values of slot %s are covered; keeping %r",
-                        slot_label(uid),
-                        kept,
-                    )
+                    _warn("all values of slot %s are covered; keeping %r", slot_label(uid), kept)
                 if removable:
                     values[uid] -= removable
                     changed = True
@@ -500,18 +506,11 @@ def induce_grammar(
 
 
 def _emit_grammar(root_template: Template, values: SlotValues) -> Grammar:
-    reachable: set[int] = set()
-    frontier = list(dict.fromkeys(slot_ids(root_template)))
-    while frontier:
-        uid = frontier.pop()
-        if uid in reachable:
-            continue
-        reachable.add(uid)
+    reachable = sorted(_reachable(values, [*slot_ids(root_template)]))
+    for uid in reachable:
         if uid not in values:
             raise InternalInvariantError(f"slot {slot_label(uid)} has no extracted values")
-        frontier += _references(values[uid])
-
-    names = {uid: slot_label(rank) for rank, uid in enumerate(sorted(reachable))}
+    names = {uid: slot_label(rank) for rank, uid in enumerate(reachable)}
 
     def symbols(elements: Iterable[Element]) -> Production:
         out: list[Symbol] = []
@@ -525,7 +524,7 @@ def _emit_grammar(root_template: Template, values: SlotValues) -> Grammar:
     rules: dict[str, tuple[Production, ...]] = {
         "origin": (symbols(root_template.elements),)
     }
-    for uid in sorted(reachable):
+    for uid in reachable:
         productions = [symbols(value) for value in values[uid]]
         rules[names[uid]] = tuple(sorted(productions, key=production_text))
 

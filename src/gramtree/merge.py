@@ -182,12 +182,8 @@ def _score_rows(ka: Keys, kb: Keys, values: list[int], gap: int) -> Iterator[lis
     masks: dict[str | None, int] = {}
     for q, y in enumerate(kb):
         masks[y] = masks.get(y, 0) | 1 << q
-    full = v = (1 << m) - 1  # the zero bits of v count the LCS (Hyyrö, 2004)
-    for x in ka:
-        if mask := masks.get(x):
-            u = v & mask
-            v = ((v + u) | (v - u)) & full
-    below, above = n - m + v.bit_count(), v.bit_count()  # n - M and m - M
+    above = m - _lcs_bits(ka, masks, (1 << m) - 1).bit_count()  # m - M
+    below = n - m + above  # n - M
     f_next = [-gap] * m + [0]
     yield f_next
     g_next = [-gap] * (m + 1)
@@ -210,6 +206,20 @@ def _score_rows(ka: Keys, kb: Keys, values: list[int], gap: int) -> Iterator[lis
             g_row[j] = carry = in_gap
         yield f_row
         f_next, g_next = f_row, g_row
+
+
+def _lcs_bits(keys: Keys, masks: dict[str | None, int], full: int) -> int:
+    """Bit-parallel LCS of ``keys`` with each sequence packed in ``masks`` (Hyyrö, 2004).
+
+    ``masks`` maps a key to its positions, bits of ``full``. Each sequence's
+    bits of the result count its LCS with ``keys``.
+    """
+    v = full
+    for key in keys:
+        if mask := masks.get(key):
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return full ^ v
 
 
 def _weights(ka: Keys, m: int) -> tuple[int, int, list[int]]:
@@ -410,10 +420,9 @@ class PairQueue:
     ``L`` is below ``top = max(l1, l2)``, some token is unmatched and forces
     a gap, and every gap is a slot of the merge. So ``distance >= top - L +
     (L < top) - min(s1, s2)``; the length-bounded alignment only lowers
-    ``l_m``. All the ``L`` of a new template come from one run of the
-    bit-parallel LCS-length recurrence (Allison & Dix, 1986; Hyyrö, 2004)
-    over its tokens, with the token masks of every queued template packed
-    side by side in one int (Hyyrö, Fredriksson & Navarro, 2005). A field
+    ``l_m``. All the ``L`` of a new template come from one ``_lcs_bits``
+    pass, with the token masks of every queued template packed side by
+    side in one int (Hyyrö, Fredriksson & Navarro, 2005). A field
     is ``8 * width`` bits and its top bit stays zero, so no carry crosses
     into the next field. Fields are widened when a longer template arrives
     and repacked when dead ones outnumber the live.
@@ -460,15 +469,10 @@ class PairQueue:
         field = (next(self._seqs), ident, template, tokens, slots)
         if tokens >= 8 * self._width or len(self._fields) > 2 * len(self._live):
             self._repack(max(self._width, tokens // 8 + 1))
-        fields, width, full = self._fields, self._width, self._full
-        v = full  # the zero bits of v count the LCS so far
-        masks = self._masks
-        for key in template.match_keys:
-            if key is not None and (mask := masks.get(key)):
-                u = v & mask
-                v = ((v + u) | (v - u)) & full
-        # A field's LCS is the popcount of its bytes of full ^ v.
-        popcounts = (full ^ v).to_bytes(len(fields) * width, "little").translate(_POPCOUNTS)
+        fields, width = self._fields, self._width
+        # A field's LCS is the popcount of its bytes.
+        lcs_bits = _lcs_bits(template.match_keys, self._masks, self._full)
+        popcounts = lcs_bits.to_bytes(len(fields) * width, "little").translate(_POPCOUNTS)
         lcs_counts = map(sum, zip(*(popcounts[k::width] for k in range(width))))
         alive = self._alive
         groups: dict[int, list[tuple]] = {}

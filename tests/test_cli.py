@@ -118,6 +118,14 @@ def test_generate_command(fig1_file, capsys):
     assert all(line in FIG1_SENTENCES for line in lines)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_count_below_one_is_usage_error(fig1_file, capsys, count):
+    assert main(["generate", str(fig1_file), "--seed", "1", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be >= 1" in captured.err
+
+
 def test_generate_is_seed_deterministic(fig1_file, capsys):
     main(["generate", str(fig1_file), "--seed", "9", "--count", "2"])
     first = capsys.readouterr().out

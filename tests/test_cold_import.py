@@ -1,7 +1,7 @@
 """``import gramtree`` loads the induction path only.
 
-The evaluation harness and its process pool load on first use; every
-public name still resolves from the package.
+The evaluation harness, its process pool and ``logging`` load on first
+use; every public name still resolves from the package.
 """
 
 import json
@@ -37,6 +37,11 @@ print(json.dumps({{
 
 def test_import_leaves_evaluation_and_the_pool_unloaded():
     assert json.loads(run_python(CODE))["loaded"] == []
+
+
+def test_import_leaves_logging_unloaded():
+    # Only induction's warnings use ``logging``; it loads when one fires.
+    assert run_python("import sys, gramtree\nprint('logging' in sys.modules)") == "False\n"
 
 
 def test_every_public_name_resolves_after_a_cold_import():

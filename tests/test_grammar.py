@@ -317,6 +317,18 @@ def test_enumerate_rejects_recursive():
         enumerate_language(grammar)
 
 
+def test_generate_rejects_recursive():
+    grammar = Grammar("origin", {"origin": ((NonTerminal("origin"),), ())})
+    with pytest.raises(RecursiveGrammarError):
+        generate_sentences(grammar, 0, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 1.5, "2"])
+def test_generate_rejects_a_count_that_is_not_a_positive_int(fig1_grammar, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        generate_sentences(fig1_grammar, 0, n)
+
+
 def test_generate_random_members(fig1_grammar):
     language = enumerate_language(fig1_grammar).sentences
     for seed in range(100):

@@ -12,9 +12,11 @@ import pytest
 
 import gramtree.merge
 from gramtree.merge import (
+    PairQueue,
     _alignment,
     _bounded_alignment,
     _counts,
+    _lcs_bits,
     _rank,
     _score_rows,
     _trimmed_ends,
@@ -422,3 +424,44 @@ def test_merge_all_single():
 def test_merge_all_requires_input():
     with pytest.raises(ValueError):
         merge_all(())
+
+
+def plain_lcs(a, b) -> int:
+    """Length of the longest common subsequence, by the O(n*m) table."""
+    above = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b):
+            row.append(above[j] + 1 if x == y else max(above[j + 1], row[j]))
+        above = row
+    return above[-1]
+
+
+def test_lcs_bits_of_one_sequence_match_the_plain_lcs():
+    # As the band reads it: slot keys (None) match each other.
+    rng = random.Random(1986)
+    for _ in range(3000):
+        ka, kb = ([rng.choice(("a", "b", "c", None)) for _ in range(rng.randint(0, 12))] for _ in range(2))
+        masks = {}
+        for q, y in enumerate(kb):
+            masks[y] = masks.get(y, 0) | 1 << q
+        assert _lcs_bits(ka, masks, (1 << len(kb)) - 1).bit_count() == plain_lcs(ka, kb), (ka, kb)
+
+
+def test_lcs_bits_of_two_packed_templates_match_the_plain_lcs():
+    # As the queue reads it: each field holds one template's tokens, so the
+    # new template's slot keys match nothing.
+    rng = random.Random(2005)
+    widened = 0
+    for _ in range(1500):
+        queue = PairQueue(distance)
+        queued = [random_template(rng, max_len=rng.choice((6, 24))) for _ in range(2)]
+        for ident, t in enumerate(queued):
+            queue.add(ident, t)
+        t = random_template(rng, max_len=rng.choice((6, 24)))
+        bits, field = _lcs_bits(t.match_keys, queue._masks, queue._full), 8 * queue._width
+        widened += queue._width > 1
+        for k, other in enumerate(queued):
+            tokens = [key for key in other.match_keys if key is not None]
+            assert (bits >> k * field & (1 << field) - 1).bit_count() == plain_lcs(t.match_keys, tokens)
+    assert widened > 100

@@ -9,7 +9,9 @@ pair after each merge; both must make the same merges in the same order.
 
 ``_merge_keeps_acyclic`` searches only from the merged slot. The
 whole-graph guard below contracts the pair and looks for a cycle anywhere;
-on an acyclic map both must decide every pair alike.
+on an acyclic map both must decide every pair alike. It and grammar
+emission share one walk, ``_reachable``, checked below against a plain
+recursive search.
 """
 
 import random
@@ -17,9 +19,12 @@ import random
 import pytest
 
 import gramtree.induction
+from gramtree.errors import InternalInvariantError
 from gramtree.induction import (
+    _emit_grammar,
     _jaccard,
     _merge_keeps_acyclic,
+    _reachable,
     _retire,
     _rewrite_value,
     extract_slot_values,
@@ -29,7 +34,7 @@ from gramtree.grammar import reference_order
 from gramtree.template import Slot, Token
 from gramtree.tree import learn_template_tree, prune_redundant_children
 
-from conftest import deep_corpus
+from conftest import deep_corpus, template
 
 RATIOS = (0.0, 0.25, 0.5, 1.0)
 
@@ -244,3 +249,38 @@ def test_a_self_reference_elsewhere_does_not_block_a_merge():
     # Without slot 2's self-reference the guard accepts the merge.
     assert merge_similar_slots({**values, 2: {value("c")}}, 0.5)[1] == {1: 0}
     assert merge_similar_slots(values, 0.5)[1] == {1: 0}
+
+
+def plain_reachable(values, uid, found):
+    """Add ``uid`` and every slot its values reference, recursively, to ``found``."""
+    if uid not in found:
+        found.add(uid)
+        for ref in {e.uid for v in values.get(uid, ()) for e in v if isinstance(e, Slot)}:
+            plain_reachable(values, ref, found)
+    return found
+
+
+def test_reachable_matches_the_recursive_search():
+    # Random maps hold cycles, self-references and references to slot 99,
+    # which has no values.
+    rng = random.Random(1971)
+    dangling = 0
+    for _ in range(3000):
+        values = random_values(rng, ref_rate=0.35)
+        roots = rng.choices([*values, 99], k=rng.randint(0, 3))
+        expected = set()
+        for uid in roots:
+            plain_reachable(values, uid, expected)
+        walked = list(_reachable(values, list(roots)))
+        assert len(walked) == len(set(walked)) and set(walked) == expected, (values, roots)
+        dangling += 99 in expected
+    assert dangling > 500
+
+
+def test_emission_rejects_a_reachable_slot_without_values():
+    values = {0: {value("x"), value(1)}, 2: {value("y")}}
+    with pytest.raises(InternalInvariantError, match="slot B has no extracted values"):
+        _emit_grammar(template("a", 0), values)
+    # Slot 3 is unreachable from the root, so its missing values do not matter.
+    grammar = _emit_grammar(template("a", 2), {**values, 4: {value(3)}})
+    assert set(grammar.rules) == {"origin", "A"}
