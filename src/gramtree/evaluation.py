@@ -107,7 +107,8 @@ def _exact_language(grammar: Grammar, cap: int) -> frozenset[str]:
 
 def _compare_against(induced: Grammar, reference_set: frozenset[str], cap: int) -> tuple[int, int]:
     induced_set = _exact_language(induced, cap)
-    return len(induced_set & reference_set), len(induced_set - reference_set)
+    in_lg = len(induced_set & reference_set)
+    return in_lg, len(induced_set) - in_lg
 
 
 def reference_depth(grammar: Grammar) -> int:
@@ -134,14 +135,35 @@ def run_seed(base_seed: int, sample_size: int, run: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_cell(args: tuple) -> RunMetrics:
-    """One independent (sample size, run) job; module-level for pickling."""
-    sentences, reference_set, base_seed, size, run, ratio, max_height, cap = args
+def _run_cell(sentences: list[str], reference_set: frozenset[str], task: tuple) -> RunMetrics:
+    """One independent (sample size, run) job against the reference language."""
+    base_seed, size, run, ratio, max_height, cap = task
     rng = random.Random(run_seed(base_seed, size, run))
     sample = rng.sample(sentences, size)
     induced = induce_grammar(sample, ratio=ratio, max_height=max_height)
     in_lg, not_in_lg = _compare_against(induced, reference_set, cap)
     return RunMetrics(in_lg, not_in_lg, rule_count(induced))
+
+
+# Set only inside a pool worker, by its initializer: the reference language
+# crosses the process boundary once per worker instead of once per cell.
+_worker_language: tuple[list[str], frozenset[str]] | None = None
+
+
+def _hold_language(sentences: list[str], reference_set: frozenset[str]) -> None:
+    global _worker_language
+    _worker_language = sentences, reference_set
+
+
+def _run_pooled_cell(task: tuple) -> RunMetrics:
+    return _run_cell(*_worker_language, task)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which affinity can make fewer than the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(
@@ -154,7 +176,8 @@ def run_experiment(
 
     Every (sample size, run) cell is seeded independently, so the report
     does not depend on ``workers`` (cells are independent jobs and run in
-    parallel when workers > 1).
+    parallel when workers > 1). ``workers=None`` takes one worker per CPU
+    this process may run on, and no more than there are cells.
 
     Raises:
         ValueError: ``workers`` is neither None nor an int >= 1, or a
@@ -172,21 +195,23 @@ def run_experiment(
             )
     max_height = config.max_height if config.max_height is not None else reference_depth(reference)
 
-    cells = [
-        (sentences, reference_set, config.seed, size, run, config.ratio, max_height, config.cap)
+    tasks = [
+        (config.seed, size, run, config.ratio, max_height, config.cap)
         for size in config.sample_sizes
         for run in range(config.runs)
     ]
     if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
-    if workers > 1 and len(cells) > 1:
+        workers = min(len(tasks), _usable_cpus())
+    if workers > 1 and len(tasks) > 1:
         # Imported here, so that importing the package does not load the pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_hold_language, initargs=(sentences, reference_set)
+        ) as pool:
+            metrics = list(pool.map(_run_pooled_cell, tasks))
     else:
-        metrics = [_run_cell(cell) for cell in cells]
+        metrics = [_run_cell(sentences, reference_set, task) for task in tasks]
 
     size_results = []
     for index, size in enumerate(config.sample_sizes):

@@ -258,9 +258,9 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     if not is_positive_int(cap):
         raise ValueError(f"cap must be >= 1 (an int), got {cap!r}")
     order = nonrecursive_order(grammar)
-    # A rule's expansions are dropped once the last rule referencing it is
-    # done; the start rule's are the result.
-    last_use = {name: position for position, name in enumerate(order)}
+    # A rule's expansions are kept, sorted, only until the last rule that
+    # reads them is done; the start rule's set is the result.
+    last_use: dict[str, int] = {}
     for position, name in enumerate(order):
         for production in grammar.rules[name]:
             for symbol in production:
@@ -268,10 +268,10 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
                     last_use[symbol.name] = position
     released: dict[int, list[str]] = {}
     for name, position in last_use.items():
-        if name != grammar.start:
-            released.setdefault(position, []).append(name)
+        released.setdefault(position, []).append(name)
 
     expansions: dict[str, list[str]] = {}
+    sentences: frozenset[str] = frozenset()
     truncated = False
     for position, name in enumerate(order):
         seen: set[str] = set()
@@ -290,10 +290,13 @@ def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
                 seen.add(sentence)
             if rule_truncated:
                 break
-        expansions[name] = sorted(seen)
+        if name == grammar.start:
+            sentences = frozenset(seen)
+        if name in last_use:
+            expansions[name] = sorted(seen)
         for done in released.get(position, ()):
             del expansions[done]
-    return LanguageSet(frozenset(expansions[grammar.start]), truncated)
+    return LanguageSet(sentences, truncated)
 
 
 def generate_random(grammar: Grammar, seed: int) -> str:

@@ -126,6 +126,11 @@ def test_generate_count_below_one_is_usage_error(fig1_file, capsys, count):
     assert "n must be >= 1" in captured.err
 
 
+def test_generate_count_below_one_names_the_flag(fig1_file, capsys):
+    assert main(["generate", str(fig1_file), "--seed", "1", "--count", "0"]) == 1
+    assert "--count" in capsys.readouterr().err
+
+
 def test_generate_is_seed_deterministic(fig1_file, capsys):
     main(["generate", str(fig1_file), "--seed", "9", "--count", "2"])
     first = capsys.readouterr().out

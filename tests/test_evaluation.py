@@ -1,9 +1,14 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
+import gramtree.evaluation as evaluation
 from gramtree.errors import LanguageTooLargeError, RecursiveGrammarError
 from gramtree.evaluation import (
     EvalReport,
@@ -203,6 +208,112 @@ print(format_report(run_experiment(grammar, {config!r}, workers=2), "json"))
 """
     serial = format_report(run_experiment(fig1_grammar, config, workers=1), "json")
     assert run_python(code) == serial + "\n"
+
+
+# Three slots of ten values each: 1,000 sentences.
+THREE_SLOTS = parse_tracery(
+    json.dumps(
+        {
+            "origin": "#A# saw #B# with #C#",
+            "A": [f"a{i}" for i in range(10)],
+            "B": [f"b{i}" for i in range(10)],
+            "C": [f"c{i}" for i in range(10)],
+        }
+    )
+)
+THREE_SLOTS_LANGUAGE = enumerate_language(THREE_SLOTS).sentences
+SMALL_SWEEP = ExperimentConfig(sample_sizes=(5, 8), runs=2, seed=4)
+
+
+def _holds_any(module, sentences: frozenset[str]) -> bool:
+    """Whether a global of ``module``, or a container up to three levels
+    inside one, holds one of ``sentences``."""
+
+    def holds(value, depth: int) -> bool:
+        if isinstance(value, str):
+            return value in sentences
+        if isinstance(value, (set, frozenset)):
+            return not sentences.isdisjoint(value)
+        if isinstance(value, dict):
+            value = [*value, *value.values()]
+        if isinstance(value, (list, tuple)) and depth:
+            return any(holds(item, depth - 1) for item in value)
+        return False
+
+    return any(holds(value, 3) for name, value in vars(module).items() if not name.startswith("__"))
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by a stand-in that runs its initializer and
+    tasks in this process, each task through a pickle round trip as a real
+    pool sends it, and records every task and pool size."""
+    record = SimpleNamespace(tasks=[], max_workers=[])
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            record.max_workers.append(max_workers)
+            self.initializer, self.initargs = initializer, initargs
+
+        def __enter__(self):
+            self.initializer(*self.initargs)
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            record.tasks.extend(tasks)
+            return [fn(pickle.loads(pickle.dumps(task))) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # The stand-in's initializer fills, in this process, what only a worker holds.
+    monkeypatch.setattr(evaluation, "_worker_language", None)
+    return record
+
+
+@pytest.fixture
+def refused_pool(monkeypatch):
+    class RefusedPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("run_experiment built a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
+
+
+def test_pool_tasks_carry_no_reference_language(in_process_pool):
+    assert len(THREE_SLOTS_LANGUAGE) >= 1000
+    pooled = run_experiment(THREE_SLOTS, SMALL_SWEEP, workers=2)
+    assert len(in_process_pool.tasks) == 4
+    assert all(len(pickle.dumps(task)) < 1024 for task in in_process_pool.tasks)
+    # What a worker holds after its initializer ran (here, this process).
+    assert _holds_any(evaluation, THREE_SLOTS_LANGUAGE)
+    assert pooled == run_experiment(THREE_SLOTS, SMALL_SWEEP, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_run_experiment_leaves_no_language_in_the_module(workers):
+    run_experiment(THREE_SLOTS, SMALL_SWEEP, workers=workers)
+    assert not _holds_any(evaluation, THREE_SLOTS_LANGUAGE)
+
+
+@pytest.mark.parametrize("affinity, cpus", [({0}, 8), (None, 1)], ids=["one-cpu-affinity", "no-affinity-one-cpu"])
+def test_default_workers_build_no_pool_on_one_usable_cpu(monkeypatch, refused_pool, fig1_grammar, affinity, cpus):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = ExperimentConfig(sample_sizes=(6,), runs=3, ratio=1.0)
+    assert run_experiment(fig1_grammar, config) == run_experiment(fig1_grammar, config, workers=1)
+
+
+def test_default_workers_use_every_cpu_of_the_affinity_set(monkeypatch, in_process_pool, fig1_grammar):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    run_experiment(fig1_grammar, ExperimentConfig(sample_sizes=(6,), runs=3, ratio=1.0))
+    assert in_process_pool.max_workers == [2]
 
 
 def test_medians_recomputable_from_raw_runs(fig1_grammar):

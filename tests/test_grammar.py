@@ -1,6 +1,8 @@
 import json
+import random
 import re
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -8,7 +10,9 @@ from gramtree.cli import main
 from gramtree.errors import GrammarFormatError, RecursiveGrammarError, UnsupportedGrammarError
 from gramtree.evaluation import reference_depth
 from gramtree.grammar import (
+    DEFAULT_CAP,
     Grammar,
+    LanguageSet,
     NonTerminal,
     Terminal,
     check_nonrecursive,
@@ -20,6 +24,7 @@ from gramtree.grammar import (
     to_tracery,
 )
 from gramtree.induction import induce_grammar
+from gramtree.template import normalize_sentence
 
 from conftest import BACKSLASHES, BRACKETS, FIG1_SENTENCES, HASHTAGS, TWO_BY_TWO
 
@@ -303,6 +308,98 @@ def test_enumerate_truncates_at_cap(fig1_grammar):
     assert language.truncated
     assert len(language.sentences) <= 5
     assert language.sentences <= FIG1_SENTENCES
+
+
+def _enumerate_language_sorting_every_rule(grammar: Grammar, cap: int) -> LanguageSet:
+    """``enumerate_language`` as it was when every rule's expansions were
+    sorted, the start rule's too, and the result built from that list."""
+    order = check_nonrecursive(grammar).order
+    last_use = {name: position for position, name in enumerate(order)}
+    for position, name in enumerate(order):
+        for production in grammar.rules[name]:
+            for symbol in production:
+                if isinstance(symbol, NonTerminal):
+                    last_use[symbol.name] = position
+    released: dict[int, list[str]] = {}
+    for name, position in last_use.items():
+        if name != grammar.start:
+            released.setdefault(position, []).append(name)
+
+    expansions: dict[str, list[str]] = {}
+    truncated = False
+    for position, name in enumerate(order):
+        seen: set[str] = set()
+        rule_truncated = False
+        for production in grammar.rules[name]:
+            parts = [
+                [symbol.text] if isinstance(symbol, Terminal) else expansions[symbol.name]
+                for symbol in production
+            ]
+            for combo in product(*parts):
+                sentence = normalize_sentence(" ".join(combo))
+                if len(seen) >= cap and sentence not in seen:
+                    truncated = True
+                    rule_truncated = True
+                    break
+                seen.add(sentence)
+            if rule_truncated:
+                break
+        expansions[name] = sorted(seen)
+        for done in released.get(position, ()):
+            del expansions[done]
+    return LanguageSet(frozenset(expansions[grammar.start]), truncated)
+
+
+def _random_acyclic_grammar(rng: random.Random) -> Grammar:
+    """Up to 6 rules; a rule references only rules listed after it, and
+    the start rule is any of them, so other rules may reference it."""
+    names = [f"r{i}" for i in range(rng.randint(1, 6))]
+
+    def symbol(later: list[str]):
+        if later and rng.random() < 0.4:
+            return NonTerminal(rng.choice(later))
+        return Terminal(rng.choice(["a", "b", "c", ""]))
+
+    rules = {
+        name: tuple(
+            tuple(symbol(names[index + 1 :]) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 3))
+        )
+        for index, name in enumerate(names)
+    }
+    return Grammar(rng.choice(names), rules)
+
+
+def test_enumerate_matches_the_sort_every_rule_version_on_random_grammars():
+    rng = random.Random(0)
+    start_referenced = truncated = 0
+    for _ in range(600):
+        grammar = _random_acyclic_grammar(rng)
+        cap = rng.choice([1, 2, 3, 5, 8, DEFAULT_CAP])
+        expected = _enumerate_language_sorting_every_rule(grammar, cap)
+        assert enumerate_language(grammar, cap) == expected
+        truncated += expected.truncated
+        start_referenced += any(
+            NonTerminal(grammar.start) in production
+            for productions in grammar.rules.values()
+            for production in productions
+        )
+    assert truncated > 50 and start_referenced > 50
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4, 7, DEFAULT_CAP])
+def test_enumerate_matches_the_sort_every_rule_version_when_the_start_rule_is_read(cap):
+    # "wrap" reads origin, so origin's expansions stay sorted for it; a
+    # truncated origin then also feeds a truncated "wrap".
+    grammar = Grammar(
+        "origin",
+        {
+            "origin": ((Terminal("x"), NonTerminal("T")), (NonTerminal("T"), NonTerminal("T"))),
+            "T": ((Terminal("a"),), (Terminal("b"),), (Terminal(""),)),
+            "wrap": ((NonTerminal("origin"), Terminal("z"), NonTerminal("T")),),
+        },
+    )
+    assert enumerate_language(grammar, cap) == _enumerate_language_sorting_every_rule(grammar, cap)
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5, True])
