@@ -177,7 +177,8 @@ def run_experiment(
     Every (sample size, run) cell is seeded independently, so the report
     does not depend on ``workers`` (cells are independent jobs and run in
     parallel when workers > 1). ``workers=None`` takes one worker per CPU
-    this process may run on, and no more than there are cells.
+    this process may run on. A pool starts all its workers at once, so no
+    more start than there are cells.
 
     Raises:
         ValueError: ``workers`` is neither None nor an int >= 1, or a
@@ -200,9 +201,8 @@ def run_experiment(
         for size in config.sample_sizes
         for run in range(config.runs)
     ]
-    if workers is None:
-        workers = min(len(tasks), _usable_cpus())
-    if workers > 1 and len(tasks) > 1:
+    workers = min(len(tasks), workers or _usable_cpus())
+    if workers > 1:
         # Imported here, so that importing the package does not load the pool.
         from concurrent.futures import ProcessPoolExecutor
 

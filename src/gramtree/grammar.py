@@ -247,17 +247,24 @@ def nonrecursive_order(grammar: Grammar) -> tuple[str, ...]:
 def enumerate_language(grammar: Grammar, cap: int = DEFAULT_CAP) -> LanguageSet:
     """Enumerate the full language bottom-up over the topological order.
 
-    Every rule's expansion set is capped at ``cap`` distinct sentences;
-    hitting the cap sets ``truncated`` (the result is then an incomplete
-    subset of the language, not an error).
+    Only the rules the start rule reaches are expanded, each capped at
+    ``cap`` distinct sentences; hitting the cap sets ``truncated`` (the
+    result is then an incomplete subset of the language, not an error).
 
     Raises:
         ValueError: ``cap`` is not an int >= 1.
-        RecursiveGrammarError: the grammar has a reference cycle.
+        RecursiveGrammarError: the grammar has a reference cycle, reached or not.
     """
     if not is_positive_int(cap):
         raise ValueError(f"cap must be >= 1 (an int), got {cap!r}")
     order = nonrecursive_order(grammar)
+    # A rule comes after every rule it references, so walking the order
+    # backwards visits each rule's referrers before the rule itself.
+    reached = {grammar.start}
+    for name in reversed(order):
+        if name in reached:
+            reached.update(s.name for p in grammar.rules[name] for s in p if isinstance(s, NonTerminal))
+    order = tuple(name for name in order if name in reached)
     # A rule's expansions are kept, sorted, only until the last rule that
     # reads them is done; the start rule's set is the result.
     last_use: dict[str, int] = {}

@@ -25,7 +25,7 @@ from .grammar import (
     check_nonrecursive,
     production_text,
 )
-from .merge import merge_all, remap_new_slots
+from .merge import merge_all
 from .template import (
     Element,
     Slot,
@@ -33,6 +33,8 @@ from .template import (
     Token,
     element_key,
     format_template,
+    remap_new_slots,
+    rewrite_slots,
     slot_ids,
     slot_label,
 )
@@ -140,13 +142,6 @@ def _align_child(parent: Template, child: Template) -> list[tuple[int, Value]]:
 # slot merging and simplification
 
 
-def _rewrite_value(value: Value, mapping: SlotReplacement) -> Value:
-    return tuple(
-        Slot(mapping[e.uid]) if isinstance(e, Slot) and e.uid in mapping else e
-        for e in value
-    )
-
-
 def _retire(
     values: SlotValues, replacement: SlotReplacement, old: int, new: int, referrers: Iterable[int]
 ) -> set[int]:
@@ -163,7 +158,7 @@ def _retire(
     ref = Slot(old)
     rewritten = {uid for uid in referrers if uid in values and any(ref in v for v in values[uid])}
     for uid in rewritten:
-        values[uid] = {_rewrite_value(v, {old: new}) for v in values[uid]}
+        values[uid] = {rewrite_slots(v, {old: new}) for v in values[uid]}
     return rewritten
 
 
@@ -404,7 +399,7 @@ def collapse_tree(
 
 
 def _replace_template(node: TemplateTreeNode, replacement: SlotReplacement) -> None:
-    rewritten = Template(_rewrite_value(node.template.elements, replacement))
+    rewritten = Template(rewrite_slots(node.template.elements, replacement))
     if rewritten != node.template:
         node.template = rewritten
 
@@ -484,6 +479,7 @@ def induce_grammar(
         other rules are the surviving slots' value sets.
 
     Raises:
+        TypeError: ``texts`` is a ``str`` or ``bytes``.
         ValueError: ``ratio`` is not an int or float within [0, 1], or
             ``max_height`` is not an int >= 1.
     """
@@ -499,7 +495,7 @@ def induce_grammar(
             # Converged (recalculation may have re-minted ids for the same
             # shape). The value map matches this iteration's tree once the
             # replacement is applied to its root.
-            root = Template(_rewrite_value(tree.template.elements, replacement))
+            root = Template(rewrite_slots(tree.template.elements, replacement))
             return _emit_grammar(root, values)
         tree = collapsed
     raise InternalInvariantError("induction pipeline did not reach a fixpoint")

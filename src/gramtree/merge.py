@@ -15,9 +15,7 @@ Both are exact on every input: no count of alignments is capped.
 
 Scores read only match keys, so the queue scores slot-blind shapes and the
 distance memo hits on pairs that differ only in slot ids. The program fills
-only the diagonals a max-match alignment can use, from one bit-parallel LCS:
-on the benchmark's induce-long corpora 0-7, 728,848 cells where the full
-tables held 2,157,919; on induce-deep, 192,769 of 445,651.
+only the diagonals a max-match alignment can use, from one bit-parallel LCS.
 
 Tree learning and ``merge_all`` merge the pairs a ``PairQueue`` pops; a pop
 takes both templates. The queue bounds each new template against all queued
@@ -38,6 +36,7 @@ from .template import (
     Slot,
     Template,
     Token,
+    remap_new_slots,
     slot_count,
     slot_ids,
     token_count,
@@ -378,29 +377,6 @@ def _build(
         i, j = mi + 1, mj + 1
     emit_gap(a[i:], b[j:])
     return elements, cov1, cov2
-
-
-def remap_new_slots(
-    merged: Template,
-    sources: Sequence[Template],
-    fresh_ids: Iterator[int],
-) -> Template:
-    """Re-id the slots of ``merged`` that were not inherited from ``sources``.
-
-    Merging assigns locally fresh ids; callers that maintain a pool of
-    templates use this to keep slot ids unique across the whole pool.
-    """
-    inherited = {uid for t in sources for uid in slot_ids(t)}
-    mapping: dict[int, int] = {}
-    elements: list[Element] = []
-    for e in merged.elements:
-        if isinstance(e, Slot) and e.uid not in inherited:
-            if e.uid not in mapping:
-                mapping[e.uid] = next(fresh_ids)
-            elements.append(Slot(mapping[e.uid]))
-        else:
-            elements.append(e)
-    return Template(tuple(elements))
 
 
 _POPCOUNTS = bytes(byte.bit_count() for byte in range(256))

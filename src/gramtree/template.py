@@ -2,14 +2,15 @@
 
 A slot stands for zero or more elements. Slot ids are plain integers while
 learning; they are turned into uppercase letter names (A, B, ..., AA, ...)
-only when a template is printed or serialised.
+only when a template is printed or serialised. Every renaming of slot ids,
+by merges, slot merging and collapse, goes through :func:`rewrite_slots`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,21 @@ def slot_count(template: Template) -> int:
 def slot_ids(template: Template) -> tuple[int, ...]:
     """Slot ids in order of occurrence (duplicates preserved)."""
     return tuple(e.uid for e in template.elements if isinstance(e, Slot))
+
+
+def rewrite_slots(elements: Iterable[Element], mapping: Mapping[int, int]) -> tuple[Element, ...]:
+    """``elements`` with each slot id that ``mapping`` holds renamed; tokens and other slots stay."""
+    return tuple([Slot(mapping[e.uid]) if isinstance(e, Slot) and e.uid in mapping else e for e in elements])
+
+
+def remap_new_slots(merged: Template, sources: Iterable[Template], fresh_ids: Iterator[int]) -> Template:
+    """Re-id the slots of ``merged`` not inherited from ``sources``, to keep ids unique in a pool.
+
+    Each new id maps to ``next(fresh_ids)``, in order of first occurrence.
+    """
+    inherited = {uid for t in sources for uid in slot_ids(t)}
+    mapping = {uid: next(fresh_ids) for uid in dict.fromkeys(slot_ids(merged)) if uid not in inherited}
+    return Template(rewrite_slots(merged.elements, mapping))
 
 
 def slot_label(uid: int) -> str:

@@ -21,8 +21,8 @@ from math import inf
 from typing import Iterable, Iterator
 
 from .errors import is_positive_int
-from .merge import PairQueue, distance, merge_templates, remap_new_slots
-from .template import Template, Token, format_template, normalize_sentence, slot_ids, tokenize
+from .merge import PairQueue, distance, merge_templates
+from .template import Template, Token, format_template, normalize_sentence, remap_new_slots, slot_ids, tokenize
 
 
 @dataclass(eq=False)
@@ -144,8 +144,11 @@ def learn_template_tree(
         max_height: optional bound applied with :func:`limit_height`.
 
     Raises:
+        TypeError: ``texts`` is a ``str`` or ``bytes``, not a collection of sentences.
         ValueError: on an empty input set, or a ``max_height`` that is not an int >= 1.
     """
+    if isinstance(texts, (str, bytes)):
+        raise TypeError(f"texts must be a collection of sentences, not one {type(texts).__name__}")
     distinct = sorted({normalize_sentence(t) for t in texts})
     if not distinct:
         raise ValueError("cannot learn a template tree from an empty input set")

@@ -103,6 +103,14 @@ def test_enumerate_truncation_warns_but_succeeds(fig1_file, capsys):
     assert "truncated" in err
 
 
+def test_enumerate_reads_only_what_the_start_rule_reaches(tmp_path, capsys):
+    grammar = tmp_path / "g.json"
+    grammar.write_text('{"origin": "hi", "X": ["a", "b", "c"]}', encoding="utf-8")
+    assert main(["enumerate", str(grammar), "--cap", "2"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("hi\n", "")
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_enumerate_cap_below_one_is_usage_error(fig1_file, capsys, cap):
     assert main(["enumerate", str(fig1_file), "--cap", cap]) == 1

@@ -41,6 +41,12 @@ def test_compare_reference_with_itself(fig1_grammar):
     assert compare_languages(fig1_grammar, fig1_grammar) == (12, 0)
 
 
+def test_compare_ignores_a_rule_the_start_rule_does_not_reach():
+    # "X" alone would exceed the cap of 2; the language {"hi"} does not.
+    grammar = parse_tracery('{"origin": "hi", "X": ["a", "b", "c"]}')
+    assert compare_languages(grammar, grammar, cap=2) == (1, 0)
+
+
 def test_compare_single_training_sentence(fig1_grammar):
     induced = induce_grammar(["I like putting cheese on my pizza"])
     assert compare_languages(induced, fig1_grammar) == (1, 0)
@@ -314,6 +320,13 @@ def test_default_workers_use_every_cpu_of_the_affinity_set(monkeypatch, in_proce
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     run_experiment(fig1_grammar, ExperimentConfig(sample_sizes=(6,), runs=3, ratio=1.0))
     assert in_process_pool.max_workers == [2]
+
+
+def test_explicit_workers_are_capped_at_the_cell_count(in_process_pool, fig1_grammar):
+    config = ExperimentConfig(sample_sizes=(6,), runs=2, ratio=1.0)
+    pooled = run_experiment(fig1_grammar, config, workers=8)
+    assert in_process_pool.max_workers == [2]
+    assert pooled == run_experiment(fig1_grammar, config, workers=1)
 
 
 def test_medians_recomputable_from_raw_runs(fig1_grammar):

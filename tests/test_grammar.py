@@ -312,8 +312,15 @@ def test_enumerate_truncates_at_cap(fig1_grammar):
 
 def _enumerate_language_sorting_every_rule(grammar: Grammar, cap: int) -> LanguageSet:
     """``enumerate_language`` as it was when every rule's expansions were
-    sorted, the start rule's too, and the result built from that list."""
-    order = check_nonrecursive(grammar).order
+    sorted, the start rule's too, and the result built from that list;
+    restricted to the rules the start rule reaches."""
+    reached, stack = set(), [grammar.start]
+    while stack:
+        name = stack.pop()
+        if name not in reached:
+            reached.add(name)
+            stack += [s.name for p in grammar.rules[name] for s in p if isinstance(s, NonTerminal)]
+    order = [name for name in check_nonrecursive(grammar).order if name in reached]
     last_use = {name: position for position, name in enumerate(order)}
     for position, name in enumerate(order):
         for production in grammar.rules[name]:
@@ -389,8 +396,8 @@ def test_enumerate_matches_the_sort_every_rule_version_on_random_grammars():
 
 @pytest.mark.parametrize("cap", [1, 3, 4, 7, DEFAULT_CAP])
 def test_enumerate_matches_the_sort_every_rule_version_when_the_start_rule_is_read(cap):
-    # "wrap" reads origin, so origin's expansions stay sorted for it; a
-    # truncated origin then also feeds a truncated "wrap".
+    # "wrap" reads origin, but origin does not reach "wrap", so it is not
+    # expanded: only origin's own truncation can mark the result.
     grammar = Grammar(
         "origin",
         {
@@ -410,6 +417,20 @@ def test_enumerate_rejects_cap_below_one(fig1_grammar, cap):
 
 def test_enumerate_rejects_recursive():
     grammar = Grammar("origin", {"origin": ((NonTerminal("origin"),), ())})
+    with pytest.raises(RecursiveGrammarError):
+        enumerate_language(grammar)
+
+
+UNREACHED_RULE = '{"origin": "hi", "X": ["a", "b", "c"]}'
+
+
+def test_enumerate_expands_only_the_rules_the_start_rule_reaches():
+    # "X" would hit the cap of 2, but origin never reads it.
+    assert enumerate_language(parse_tracery(UNREACHED_RULE), cap=2) == LanguageSet(frozenset({"hi"}), False)
+
+
+def test_enumerate_rejects_a_cycle_the_start_rule_does_not_reach():
+    grammar = parse_tracery('{"origin": "hi", "X": "#Y#", "Y": ["#X#", "y"]}')
     with pytest.raises(RecursiveGrammarError):
         enumerate_language(grammar)
 

@@ -453,6 +453,13 @@ def test_induce_covers_training_data():
     assert frozenset(texts) <= language
 
 
+@pytest.mark.parametrize("texts", ["hello", b"hello"], ids=["str", "bytes"])
+def test_induce_rejects_a_bare_string(texts):
+    # Iterated, "hello" would be five one-letter sentences.
+    with pytest.raises(TypeError, match="collection of sentences"):
+        induce_grammar(texts)
+
+
 def test_induce_ratio_validation():
     # A bool is not a ratio, and a non-number fails as a bad value, not in the comparison.
     for ratio in (1.5, -0.1, float("nan"), True, "0.5", None):

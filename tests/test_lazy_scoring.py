@@ -24,9 +24,8 @@ from gramtree.merge import (
     distance,
     merge_all,
     merge_templates,
-    remap_new_slots,
 )
-from gramtree.template import Template, normalize_sentence, slot_ids, tokenize
+from gramtree.template import Template, normalize_sentence, remap_new_slots, slot_ids, tokenize
 from gramtree.tree import TemplateTreeNode, learn_template_tree, tree_equal
 
 from conftest import deep_corpus, distance_lower_bound, random_template, template

@@ -26,7 +26,6 @@ from gramtree.induction import (
     MAX_PASSES,
     _is_instantiation,
     _retire,
-    _rewrite_value,
     _simplify,
     _slot_fixpoint,
     collapse_tree,
@@ -35,8 +34,8 @@ from gramtree.induction import (
     merge_similar_slots,
     value_key,
 )
-from gramtree.merge import _alignment, _rank, merge_all, remap_new_slots
-from gramtree.template import Slot, Template, Token, slot_ids
+from gramtree.merge import _alignment, _rank, merge_all
+from gramtree.template import Slot, Template, Token, remap_new_slots, rewrite_slots, slot_ids
 from gramtree.tree import (
     TemplateTreeNode,
     copy_tree,
@@ -320,7 +319,7 @@ def reference_collapse(tree, values, replacement):
 
     def apply_replacement(node):
         changed = False
-        rewritten = Template(tuple(_rewrite_value(node.template.elements, replacement)))
+        rewritten = Template(tuple(rewrite_slots(node.template.elements, replacement)))
         if rewritten != node.template:
             node.template = rewritten
             changed = True
@@ -544,7 +543,7 @@ def reference_retire(values, replacement, old, new):
             replacement[source] = new
     replacement[old] = new
     for uid in list(values):
-        values[uid] = {_rewrite_value(v, {old: new}) for v in values[uid]}
+        values[uid] = {rewrite_slots(v, {old: new}) for v in values[uid]}
 
 
 def instantiation_case(rng):

@@ -26,12 +26,11 @@ from gramtree.induction import (
     _merge_keeps_acyclic,
     _reachable,
     _retire,
-    _rewrite_value,
     extract_slot_values,
     merge_similar_slots,
 )
 from gramtree.grammar import reference_order
-from gramtree.template import Slot, Token
+from gramtree.template import Slot, Token, rewrite_slots
 from gramtree.tree import learn_template_tree, prune_redundant_children
 
 from conftest import deep_corpus, template
@@ -71,7 +70,7 @@ def whole_graph_keeps_acyclic(values, keep, drop):
     """Contract ``drop`` into ``keep`` and check the whole reference graph."""
     graph = reference_graph({uid: vs for uid, vs in values.items() if uid not in (keep, drop)})
     graph = {uid: {keep if ref == drop else ref for ref in refs} for uid, refs in graph.items()}
-    merged = {_rewrite_value(v, {drop: keep}) for v in values[keep] | values[drop]}
+    merged = {rewrite_slots(v, {drop: keep}) for v in values[keep] | values[drop]}
     graph[keep] = references(merged, keep)
     return reference_order(graph)[1] is None
 

@@ -8,7 +8,9 @@ from gramtree.template import (
     Token,
     format_template,
     normalize_sentence,
+    remap_new_slots,
     render,
+    rewrite_slots,
     slot_count,
     slot_label,
     token_count,
@@ -120,6 +122,30 @@ def test_token_validation():
         Token("")
     with pytest.raises(ValueError):
         Token("two words")
+
+
+def test_rewrite_slots_renames_only_mapped_slots():
+    elements = template("a", 0, "b", 1, 0, 2).elements
+    assert rewrite_slots(elements, {0: 5, 2: 1}) == template("a", 5, "b", 1, 5, 1).elements
+    assert rewrite_slots(elements, {}) == elements
+    assert rewrite_slots((), {0: 1}) == ()
+
+
+def test_remap_new_slots_keeps_inherited_ids_and_numbers_the_rest_in_order():
+    merged = template(4, "x", 0, 3, 7, 0, 3)
+    sources = (template("x", 7), template(9, "y", 4))
+    fresh = iter(range(20, 30))
+    # 0 and 3 are new: each takes one fresh id, at its first occurrence.
+    assert remap_new_slots(merged, sources, fresh) == template(4, "x", 20, 21, 7, 20, 21)
+    # No id past the last new slot is taken.
+    assert next(fresh) == 22
+
+
+def test_remap_new_slots_takes_no_fresh_id_when_every_slot_is_inherited():
+    merged = template("a", 1, "b", 2)
+    fresh = iter(range(5, 10))
+    assert remap_new_slots(merged, (template(1), template(2, "c")), fresh) == merged
+    assert next(fresh) == 5
 
 
 def test_normalize_sentence():

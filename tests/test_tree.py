@@ -54,6 +54,12 @@ def test_learn_empty_set_is_an_error():
         learn_template_tree([])
 
 
+@pytest.mark.parametrize("texts", ["hello", b"hello"], ids=["str", "bytes"])
+def test_learn_rejects_a_bare_string(texts):
+    with pytest.raises(TypeError, match="collection of sentences"):
+        learn_template_tree(texts)
+
+
 def test_learn_dedupes_and_normalises():
     root = learn_template_tree(["a  b", "a b", " a b "])
     assert root.is_leaf and root.leaf_text == "a b"
