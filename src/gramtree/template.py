@@ -9,7 +9,6 @@ by merges, slot merging and collapse, goes through :func:`rewrite_slots`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -20,7 +19,8 @@ class Token:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.text or any(c.isspace() for c in self.text):
+        # str.split() splits on exactly the characters str.isspace() accepts.
+        if self.text.split() != [self.text]:
             raise ValueError(f"invalid token text: {self.text!r}")
 
 
@@ -34,8 +34,32 @@ class Slot:
 Element = Union[Token, Slot]
 
 
-@dataclass(frozen=True)
-class Template:
+class _DerivedKeys:
+    """Slots for the keys a ``Template`` derives from its elements.
+
+    A slot is filled on first read, since ``__getattr__`` runs only while
+    it is empty. So no template has a ``__dict__``.
+    """
+
+    __slots__ = ("_hash", "match_keys", "shape", "slot_count", "token_masks", "canonical_key")
+    _hash: int
+    match_keys: tuple[str | None, ...]
+    shape: Template
+    slot_count: int
+    token_masks: dict[str, int]
+    canonical_key: tuple
+
+    def __getattr__(self, name: str):
+        try:
+            value = _DERIVE[name](self)
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        object.__setattr__(self, name, value)
+        return value
+
+
+@dataclass(frozen=True, slots=True)
+class Template(_DerivedKeys):
     """An immutable sequence of tokens and slots. May be empty."""
 
     elements: tuple[Element, ...] = ()
@@ -50,72 +74,74 @@ class Template:
         return self._hash
 
     def __reduce__(self) -> tuple:
-        # Pickle the elements alone: the memos below, above all the string
+        # Pickle the elements alone: the derived keys, above all the string
         # hash, are valid only in the interpreter that computed them.
         return (Template, (self.elements,))
 
-    @cached_property
-    def _hash(self) -> int:
-        # Templates are hashed constantly by the merge caches; memoise.
-        return hash(self.elements)
 
-    @cached_property
-    def match_keys(self) -> tuple[str | None, ...]:
-        """Per-element merge-matching keys: token text, or None for any slot.
+def _match_keys(template: Template) -> tuple[str | None, ...]:
+    """Per-element merge-matching keys: token text, or None for any slot.
 
-        Two elements can be aligned iff their keys compare equal (token
-        texts must match; every slot matches every slot).
-        """
-        return tuple(e.text if isinstance(e, Token) else None for e in self.elements)
+    Two elements can be aligned iff their keys compare equal (token
+    texts must match; every slot matches every slot).
+    """
+    return tuple([e.text if isinstance(e, Token) else None for e in template.elements])
 
-    @cached_property
-    def shape(self) -> Template:
-        """This template with every slot as ``Slot(0)``, or ``self`` if that changes nothing.
 
-        The merge distance reads only match keys, so it keys its memo on
-        shapes: templates that differ only in slot ids share one score.
-        """
-        slot = Slot(0)
-        elements = tuple(slot if isinstance(e, Slot) else e for e in self.elements)
-        return self if elements == self.elements else Template(elements)
+def _shape(template: Template) -> Template:
+    """The template with every slot as ``Slot(0)``, or itself if that changes nothing.
 
-    @cached_property
-    def slot_count(self) -> int:
-        """Number of slot elements; distance bounds read it on every pair."""
-        return self.match_keys.count(None)
+    The merge distance reads only match keys, so it keys its memo on
+    shapes: templates that differ only in slot ids share one score.
+    """
+    slot = Slot(0)
+    elements = tuple([slot if isinstance(e, Slot) else e for e in template.elements])
+    return template if elements == template.elements else Template(elements)
 
-    @cached_property
-    def token_masks(self) -> dict[str, int]:
-        """Per token text, the bit set of its positions among the tokens.
 
-        Slots are skipped: bit ``i`` stands for the ``i``-th token. These are
-        the match masks of a bit-parallel LCS over the token sequence.
-        """
-        masks: dict[str, int] = {}
-        for i, text in enumerate(k for k in self.match_keys if k is not None):
-            masks[text] = masks.get(text, 0) | 1 << i
-        return masks
+def _token_masks(template: Template) -> dict[str, int]:
+    """Per token text, the bit set of its positions among the tokens.
 
-    @cached_property
-    def canonical_key(self) -> tuple:
-        """Structural key: slot ids normalised by order of first occurrence.
+    Slots are skipped: bit ``i`` stands for the ``i``-th token. These are
+    the match masks of a bit-parallel LCS over the token sequence.
+    """
+    masks: dict[str, int] = {}
+    for i, text in enumerate(k for k in template.match_keys if k is not None):
+        masks[text] = masks.get(text, 0) | 1 << i
+    return masks
 
-        Two templates are "the same shape" iff their canonical keys are
-        equal; this is the equality used for dedup during learning and for
-        fixpoint checks, where concrete slot ids are arbitrary.
 
-        The key is flat, ``("t", text, "s", n, ...)``: a tag before each
-        payload. It orders as the tuple of ``(tag, payload)`` pairs would,
-        and compares faster in the learners' heap ties.
-        """
-        order: dict[int, int] = {}
-        key: list = []
-        for e in self.elements:
-            if isinstance(e, Token):
-                key += ("t", e.text)
-            else:
-                key += ("s", order.setdefault(e.uid, len(order)))
-        return tuple(key)
+def _canonical_key(template: Template) -> tuple:
+    """Structural key: slot ids normalised by order of first occurrence.
+
+    Two templates are "the same shape" iff their canonical keys are
+    equal; this is the equality used for dedup during learning and for
+    fixpoint checks, where concrete slot ids are arbitrary.
+
+    The key is flat, ``("t", text, "s", n, ...)``: a tag before each
+    payload. It orders as the tuple of ``(tag, payload)`` pairs would,
+    and compares faster in the learners' heap ties.
+    """
+    order: dict[int, int] = {}
+    key: list = []
+    for e in template.elements:
+        if isinstance(e, Token):
+            key += ("t", e.text)
+        else:
+            key += ("s", order.setdefault(e.uid, len(order)))
+    return tuple(key)
+
+
+# Templates are hashed constantly by the merge caches, and distance bounds
+# read the slot count on every pair.
+_DERIVE = {
+    "_hash": lambda t: hash(t.elements),
+    "match_keys": _match_keys,
+    "shape": _shape,
+    "slot_count": lambda t: t.match_keys.count(None),
+    "token_masks": _token_masks,
+    "canonical_key": _canonical_key,
+}
 
 
 def tokenize(text: str) -> Template:
@@ -124,7 +150,7 @@ def tokenize(text: str) -> Template:
     Punctuation stays attached to its word. An empty or whitespace-only
     string yields the empty template.
     """
-    return Template(tuple(Token(word) for word in text.split()))
+    return Template(tuple([Token(word) for word in text.split()]))
 
 
 def render(template: Template, assignment: Mapping[int, Sequence[Token]]) -> str:
@@ -161,7 +187,7 @@ def slot_count(template: Template) -> int:
 
 def slot_ids(template: Template) -> tuple[int, ...]:
     """Slot ids in order of occurrence (duplicates preserved)."""
-    return tuple(e.uid for e in template.elements if isinstance(e, Slot))
+    return tuple([e.uid for e in template.elements if isinstance(e, Slot)])
 
 
 def rewrite_slots(elements: Iterable[Element], mapping: Mapping[int, int]) -> tuple[Element, ...]:

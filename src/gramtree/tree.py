@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import is_positive_int
 from .merge import PairQueue, distance, merge_templates
-from .template import Template, Token, format_template, normalize_sentence, remap_new_slots, slot_ids, tokenize
+from .template import Template, Token, format_template, normalize_sentence, remap_new_slots, slot_ids
 
 
 @dataclass(eq=False)
@@ -158,8 +158,10 @@ def learn_template_tree(
     fresh_ids = count()
     queue = PairQueue(distance)
     nodes: dict[tuple, TemplateTreeNode] = {}  # the latest node of each canonical key
+    # One Token per word: every leaf, and every template built from leaves, shares it.
+    tokens = {word: Token(word) for text in distinct for word in text.split()}
     for text in distinct:
-        leaf = TemplateTreeNode(tokenize(text), leaf_text=text)
+        leaf = TemplateTreeNode(Template(tuple([tokens[word] for word in text.split()])), leaf_text=text)
         nodes[leaf.template.canonical_key] = leaf
         queue.add(leaf.template.canonical_key, leaf.template)
 

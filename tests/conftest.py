@@ -73,6 +73,22 @@ def template(*parts) -> Template:
     return Template(tuple(elements))
 
 
+# The keys a Template derives from its elements and keeps in slots.
+DERIVED_KEYS = ("_hash", "match_keys", "shape", "slot_count", "token_masks", "canonical_key")
+
+
+def filled_keys(t: Template) -> set[str]:
+    """The derived keys of ``t`` already computed, read without computing any."""
+    filled = set()
+    for name in DERIVED_KEYS:
+        try:
+            object.__getattribute__(t, name)
+        except AttributeError:
+            continue
+        filled.add(name)
+    return filled
+
+
 def random_template(rng, words=("a", "b", "c"), max_len=6) -> Template:
     """Up to ``max_len`` elements drawn from ``words`` and the slot ids 0-2."""
     return template(*rng.choices(tuple(words) + (0, 1, 2), k=rng.randint(0, max_len)))

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -16,8 +19,9 @@ from gramtree.template import (
     token_count,
     tokenize,
 )
+from gramtree.tree import learn_template_tree
 
-from conftest import random_template, run_python, template
+from conftest import DERIVED_KEYS, filled_keys, random_template, run_python, template
 
 
 def test_tokenize_splits_on_whitespace():
@@ -122,6 +126,13 @@ def test_token_validation():
         Token("")
     with pytest.raises(ValueError):
         Token("two words")
+    for space in (c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()):
+        for text in (space, f"a{space}b", f"{space}a", f"a{space}"):
+            with pytest.raises(ValueError):
+                Token(text)
+    # Not whitespace to str.isspace(), so part of a word.
+    for char in ("\u200b", "\ufeff", "\u180e", "\u00b7", "_"):
+        assert Token(f"a{char}b").text == f"a{char}b"
 
 
 def test_rewrite_slots_renames_only_mapped_slots():
@@ -166,3 +177,31 @@ def test_pickled_template_hashes_in_the_loading_interpreter():
     )
     pickled = run_python(dump, PYTHONHASHSEED="1")
     assert run_python(load, stdin=pickled, PYTHONHASHSEED="2").split() == ["True", "True", "True"]
+
+
+def test_tuples_of_a_nine_token_leaf_have_the_size_of_tuples_built_from_lists():
+    # tuple() of a generator first allocates for ten items; a list gives the exact length.
+    for leaf in (tokenize("a b c d e f g h i"), learn_template_tree(["a b c d e f g h i"]).template):
+        assert sys.getsizeof(leaf.elements) == sys.getsizeof(tuple([*leaf.elements]))
+        assert sys.getsizeof(leaf.match_keys) == sys.getsizeof(tuple([*leaf.match_keys]))
+
+
+def test_a_template_has_no_instance_dict():
+    t = template("a", 0, "b", 0)
+    assert filled_keys(t) == set()
+    for name in DERIVED_KEYS:
+        getattr(t, name)
+    assert filled_keys(t) == set(DERIVED_KEYS)
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        t.unknown
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+def test_copies_are_equal_and_recompute_the_derived_keys(clone):
+    for t in (template("a", 0, "b", 3, 0), tokenize("a b a"), Template(())):
+        derived = [getattr(t, name) for name in DERIVED_KEYS]
+        twin = clone(t)
+        assert twin == t and hash(twin) == hash(t)
+        assert filled_keys(twin) == {"_hash"}
+        assert [getattr(twin, name) for name in DERIVED_KEYS] == derived

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import count
@@ -20,7 +22,7 @@ from gramtree.tree import (
     walk,
 )
 
-from conftest import TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, random_template, template
+from conftest import DERIVED_KEYS, TWO_BY_TWO, FIG1_SENTENCES, deep_corpus, filled_keys, random_template, template
 
 
 def leaf(text: str) -> TemplateTreeNode:
@@ -457,3 +459,32 @@ def test_tree_equal_matches_the_reference_on_one_change():
             assert not tree_equal(tree, other) and not tree_equal(other, tree)
             changed[change, depth > 0] += 1
     assert min(changed.values()) > 20, changed
+
+
+def test_a_learned_tree_shares_one_token_per_word():
+    root = learn_template_tree(deep_corpus(40))
+    tokens: dict[str, Token] = {}
+    leaves = 0
+    for node, _ in walk(root):
+        leaves += not node.children
+        for e in node.template.elements:
+            if isinstance(e, Token):
+                assert tokens.setdefault(e.text, e) is e, e.text
+    assert leaves == 40
+    # The table lives for one call: a second learning makes its own tokens.
+    again = learn_template_tree(deep_corpus(40))
+    assert again.template.elements[0] == root.template.elements[0]
+    assert again.template.elements[0] is not root.template.elements[0]
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy])
+def test_copied_trees_are_equal_and_recompute_the_derived_keys(clone):
+    root = learn_template_tree(deep_corpus(20))
+    for node, _ in walk(root):
+        for name in DERIVED_KEYS:
+            getattr(node.template, name)
+    twin = clone(root)
+    assert tree_equal(twin, root)
+    for (node, _), (original, _) in zip(walk(twin), walk(root)):
+        assert filled_keys(node.template) <= {"_hash"}
+        assert [getattr(node.template, k) for k in DERIVED_KEYS] == [getattr(original.template, k) for k in DERIVED_KEYS]
