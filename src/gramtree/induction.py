@@ -479,7 +479,8 @@ def induce_grammar(
         other rules are the surviving slots' value sets.
 
     Raises:
-        TypeError: ``texts`` is a ``str`` or ``bytes``.
+        TypeError: ``texts`` is a ``str`` or ``bytes``, or one of its items
+            is not a ``str``.
         ValueError: ``ratio`` is not an int or float within [0, 1], or
             ``max_height`` is not an int >= 1.
     """

@@ -20,6 +20,8 @@ only the diagonals a max-match alignment can use, from one bit-parallel LCS.
 Tree learning and ``merge_all`` merge the pairs a ``PairQueue`` pops; a pop
 takes both templates. The queue bounds each new template against all queued
 ones in one packed LCS pass and scores a pair only when its bound is on top.
+It keeps each template's shape and counts, and packs its token bit masks
+from the match keys: a template itself keeps none of them.
 """
 
 from __future__ import annotations
@@ -139,12 +141,23 @@ def _alignment(t1: Template, t2: Template, bounded: bool = False) -> Alignment:
     # If their alignment matches every end in place it is also the core's:
     # both are leftmost best, and ranks differ by a constant on such
     # alignments. Else the core's wins unless the whole one is strictly better.
-    whole = _alignment(t1.shape, t2.shape, bounded=True)
+    whole = _alignment(_shape(t1), _shape(t2), bounded=True)
     if whole[0][:lo] + whole[0][len(whole[0]) - hi :] == untrimmed(()):
         return whole
     core, gaps = _bounded_alignment(ka, kb)
     trimmed = (untrimmed(core), gaps)
     return whole if _rank(*whole, keys) < _rank(*trimmed, keys) else trimmed
+
+
+def _shape(template: Template) -> Template:
+    """The template with every slot as ``Slot(0)``, or itself if that changes nothing.
+
+    The distance reads only match keys, so it keys its memo on shapes:
+    templates that differ only in slot ids share one score.
+    """
+    slot = Slot(0)
+    elements = tuple([slot if isinstance(e, Slot) else e for e in template.elements])
+    return template if elements == template.elements else Template(elements)
 
 
 def _trimmed_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
@@ -417,7 +430,7 @@ class PairQueue:
 
     def __init__(self, score: Callable[[Template, Template], int]) -> None:
         self._score = score
-        # One field per add: (sequence number, id, template, tokens, slots).
+        # One field per add: (sequence number, id, template, tokens, slots, shape).
         self._seqs = count()
         self._live: dict[Hashable, int] = {}  # live id -> the sequence number of its add
         self._alive: set[int] = set()  # the sequence numbers of the live fields
@@ -442,7 +455,7 @@ class PairQueue:
         ``ident`` must not be live: an id comes back only after a pop took it.
         """
         tokens, slots = token_count(template), slot_count(template)
-        field = (next(self._seqs), ident, template, tokens, slots)
+        field = (next(self._seqs), ident, template, tokens, slots, _shape(template))
         if tokens >= 8 * self._width or len(self._fields) > 2 * len(self._live):
             self._repack(max(self._width, tokens // 8 + 1))
         fields, width = self._fields, self._width
@@ -479,18 +492,21 @@ class PairQueue:
                 for other in entry[4]:
                     if other[0] in alive:
                         f1, f2 = (other, field) if other[1] < field[1] else (field, other)
-                        t, u = f1[2], f2[2]
-                        k, ku = t.canonical_key, u.canonical_key
+                        t, u = f1[5], f2[5]
+                        k, ku = f1[2].canonical_key, f2[2].canonical_key
                         if ku < k:
                             t, u, k, ku = u, t, ku, k
-                        heappush(heap, (self._score(t.shape, u.shape), 1, k, ku, f1[1], f2[1], f1[0], f2[0]))
+                        heappush(heap, (self._score(t, u), 1, k, ku, f1[1], f2[1], f1[0], f2[0]))
         return None
 
     def _pack(self, field: tuple) -> None:
-        """Append ``field``, its template's token masks at the next offset."""
+        """Append ``field``, the positions of each token text among its tokens at the next offset."""
         offset = 8 * self._width * len(self._fields)
+        own: dict[str, int] = {}
+        for i, text in enumerate([k for k in field[2].match_keys if k is not None]):
+            own[text] = own.get(text, 0) | 1 << i
         masks = self._masks
-        for text, mask in field[2].token_masks.items():
+        for text, mask in own.items():
             masks[text] = masks.get(text, 0) | mask << offset
         self._full |= ((1 << field[3]) - 1) << offset
         self._fields.append(field)

@@ -4,6 +4,10 @@ A slot stands for zero or more elements. Slot ids are plain integers while
 learning; they are turned into uppercase letter names (A, B, ..., AA, ...)
 only when a template is printed or serialised. Every renaming of slot ids,
 by merges, slot merging and collapse, goes through :func:`rewrite_slots`.
+
+A template keeps only the keys that identify it: its hash, match keys and
+canonical key. What only scoring reads, slot-blind shapes and token bit
+masks, the merge queue keeps (``merge.py``).
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 @dataclass(frozen=True)
 class Token:
-    """A literal word token. Never empty, never contains whitespace."""
+    """A literal word token: a ``str``, never empty, never with whitespace."""
 
     text: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"token text must be a str, not {type(self.text).__name__}")
         # str.split() splits on exactly the characters str.isspace() accepts.
         if self.text.split() != [self.text]:
             raise ValueError(f"invalid token text: {self.text!r}")
@@ -37,16 +43,14 @@ Element = Union[Token, Slot]
 class _DerivedKeys:
     """Slots for the keys a ``Template`` derives from its elements.
 
-    A slot is filled on first read, since ``__getattr__`` runs only while
-    it is empty. So no template has a ``__dict__``.
+    They are its identity keys: the hash memo, the merge-matching keys and
+    the canonical key. A slot is filled on first read, since ``__getattr__``
+    runs only while it is empty. So no template has a ``__dict__``.
     """
 
-    __slots__ = ("_hash", "match_keys", "shape", "slot_count", "token_masks", "canonical_key")
+    __slots__ = ("_hash", "match_keys", "canonical_key")
     _hash: int
     match_keys: tuple[str | None, ...]
-    shape: Template
-    slot_count: int
-    token_masks: dict[str, int]
     canonical_key: tuple
 
     def __getattr__(self, name: str):
@@ -88,29 +92,6 @@ def _match_keys(template: Template) -> tuple[str | None, ...]:
     return tuple([e.text if isinstance(e, Token) else None for e in template.elements])
 
 
-def _shape(template: Template) -> Template:
-    """The template with every slot as ``Slot(0)``, or itself if that changes nothing.
-
-    The merge distance reads only match keys, so it keys its memo on
-    shapes: templates that differ only in slot ids share one score.
-    """
-    slot = Slot(0)
-    elements = tuple([slot if isinstance(e, Slot) else e for e in template.elements])
-    return template if elements == template.elements else Template(elements)
-
-
-def _token_masks(template: Template) -> dict[str, int]:
-    """Per token text, the bit set of its positions among the tokens.
-
-    Slots are skipped: bit ``i`` stands for the ``i``-th token. These are
-    the match masks of a bit-parallel LCS over the token sequence.
-    """
-    masks: dict[str, int] = {}
-    for i, text in enumerate(k for k in template.match_keys if k is not None):
-        masks[text] = masks.get(text, 0) | 1 << i
-    return masks
-
-
 def _canonical_key(template: Template) -> tuple:
     """Structural key: slot ids normalised by order of first occurrence.
 
@@ -132,14 +113,10 @@ def _canonical_key(template: Template) -> tuple:
     return tuple(key)
 
 
-# Templates are hashed constantly by the merge caches, and distance bounds
-# read the slot count on every pair.
+# Templates are hashed constantly by the merge caches.
 _DERIVE = {
     "_hash": lambda t: hash(t.elements),
     "match_keys": _match_keys,
-    "shape": _shape,
-    "slot_count": lambda t: t.match_keys.count(None),
-    "token_masks": _token_masks,
     "canonical_key": _canonical_key,
 }
 
@@ -177,12 +154,12 @@ def render(template: Template, assignment: Mapping[int, Sequence[Token]]) -> str
 
 def token_count(template: Template) -> int:
     """Number of token (non-slot) elements."""
-    return len(template) - template.slot_count
+    return len(template) - slot_count(template)
 
 
 def slot_count(template: Template) -> int:
     """Number of slot elements."""
-    return template.slot_count
+    return template.match_keys.count(None)
 
 
 def slot_ids(template: Template) -> tuple[int, ...]:
@@ -238,5 +215,7 @@ def element_key(element: Element) -> tuple:
 
 
 def normalize_sentence(text: str) -> str:
-    """Trim and collapse whitespace runs to single spaces."""
+    """Trim and collapse whitespace runs to single spaces; a ``TypeError`` unless ``text`` is a ``str``."""
+    if not isinstance(text, str):
+        raise TypeError(f"a sentence must be a str, not {type(text).__name__}")
     return " ".join(text.split())

@@ -144,7 +144,8 @@ def learn_template_tree(
         max_height: optional bound applied with :func:`limit_height`.
 
     Raises:
-        TypeError: ``texts`` is a ``str`` or ``bytes``, not a collection of sentences.
+        TypeError: ``texts`` is a ``str`` or ``bytes``, not a collection of
+            sentences, or one of its items is not a ``str``.
         ValueError: on an empty input set, or a ``max_height`` that is not an int >= 1.
     """
     if isinstance(texts, (str, bytes)):

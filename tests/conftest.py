@@ -74,7 +74,7 @@ def template(*parts) -> Template:
 
 
 # The keys a Template derives from its elements and keeps in slots.
-DERIVED_KEYS = ("_hash", "match_keys", "shape", "slot_count", "token_masks", "canonical_key")
+DERIVED_KEYS = ("_hash", "match_keys", "canonical_key")
 
 
 def filled_keys(t: Template) -> set[str]:
@@ -117,7 +117,9 @@ def distance_lower_bound(t1: Template, t2: Template) -> int:
     l1, l2 = token_count(t1), token_count(t2)
     if l1 < l2:
         t1, t2, l1, l2 = t2, t1, l2, l1
-    masks = t1.token_masks
+    masks: dict[str, int] = {}
+    for i, key in enumerate(key for key in t1.match_keys if key is not None):
+        masks[key] = masks.get(key, 0) | 1 << i
     full = (1 << l1) - 1
     v = full  # the zero bits of v count the LCS so far
     for key in t2.match_keys:

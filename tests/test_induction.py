@@ -1,4 +1,5 @@
 import copy
+import gc
 import logging
 import random
 
@@ -16,6 +17,7 @@ from gramtree.induction import (
     merge_similar_slots,
     simplify_slot_values,
 )
+from gramtree.merge import _alignment, distance, merge_all
 from gramtree.template import Slot, Template, Token, format_template, slot_count
 from gramtree.tree import (
     TemplateTreeNode,
@@ -458,6 +460,30 @@ def test_induce_rejects_a_bare_string(texts):
     # Iterated, "hello" would be five one-letter sentences.
     with pytest.raises(TypeError, match="collection of sentences"):
         induce_grammar(texts)
+
+
+@pytest.mark.parametrize("texts", [[1, "a b"], [None], [b"a b", "c"]], ids=["int", "None", "bytes"])
+def test_induce_rejects_a_sentence_that_is_not_a_str(texts):
+    with pytest.raises(TypeError, match=f"must be a str, not {type(texts[0]).__name__}$"):
+        induce_grammar(texts)
+
+
+def test_learned_trees_and_grammars_are_freed_by_reference_counting():
+    # No template refers back to itself, so once the merge caches are
+    # cleared nothing of a learning or an induction waits for the cyclic
+    # collector.
+    corpus = deep_corpus(40)
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (learn_template_tree, induce_grammar):
+            result = run(corpus)
+            del result
+            for cache in (distance, _alignment, merge_all):
+                cache.cache_clear()
+            assert gc.collect() == 0, run.__name__
+    finally:
+        gc.enable()
 
 
 def test_induce_ratio_validation():

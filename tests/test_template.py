@@ -9,6 +9,7 @@ from gramtree.template import (
     Slot,
     Template,
     Token,
+    _DerivedKeys,
     format_template,
     normalize_sentence,
     remap_new_slots,
@@ -130,6 +131,11 @@ def test_token_validation():
         for text in (space, f"a{space}b", f"{space}a", f"a{space}"):
             with pytest.raises(ValueError):
                 Token(text)
+    for text in (5, None, b"a"):
+        with pytest.raises(TypeError, match=f"must be a str, not {type(text).__name__}$"):
+            Token(text)
+    with pytest.raises(TypeError, match="must be a str, not int$"):
+        normalize_sentence(5)
     # Not whitespace to str.isspace(), so part of a word.
     for char in ("\u200b", "\ufeff", "\u180e", "\u00b7", "_"):
         assert Token(f"a{char}b").text == f"a{char}b"
@@ -187,6 +193,7 @@ def test_tuples_of_a_nine_token_leaf_have_the_size_of_tuples_built_from_lists():
 
 
 def test_a_template_has_no_instance_dict():
+    assert _DerivedKeys.__slots__ == DERIVED_KEYS
     t = template("a", 0, "b", 0)
     assert filled_keys(t) == set()
     for name in DERIVED_KEYS:

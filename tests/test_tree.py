@@ -62,6 +62,12 @@ def test_learn_rejects_a_bare_string(texts):
         learn_template_tree(texts)
 
 
+@pytest.mark.parametrize("texts", [[1, "a b"], [None], [b"a b", "c"]], ids=["int", "None", "bytes"])
+def test_learn_rejects_a_sentence_that_is_not_a_str(texts):
+    with pytest.raises(TypeError, match=f"must be a str, not {type(texts[0]).__name__}$"):
+        learn_template_tree(texts)
+
+
 def test_learn_dedupes_and_normalises():
     root = learn_template_tree(["a  b", "a b", " a b "])
     assert root.is_leaf and root.leaf_text == "a b"
